@@ -23,7 +23,6 @@ from .operators import (
     HermitianBasis,
     contract_factor,
     embed_factors,
-    hermitian_basis,
     hs_inner,
     is_density,
     is_effect,
@@ -46,8 +45,6 @@ from .quantum import (
     classify_frame,
     coherent_state_povm,
     covariance_deviation,
-    g_act_op,
-    g_act_state,
     is_covariant,
     left_regular_rep,
     left_right_rep,
@@ -66,7 +63,6 @@ from .opequiv import (
     g_twirl_predual,
     intersect,
     invariant_subspace,
-    make_context,
 )
 from .relativize import (
     HomogeneousYenMap,

@@ -49,12 +49,7 @@ def permutation_rep(group: FiniteGroup) -> UnitaryRep:
     perms = getattr(group, "permutations", None)
     if perms is None:
         raise ValueError("permutation_rep needs a group built by symmetric_group")
-    n = len(perms[0])
-    mats = np.zeros((group.order, n, n), dtype=complex)
-    for g, p in enumerate(perms):
-        for i in range(n):
-            mats[g, p[i], i] = 1.0
-    return UnitaryRep(group, mats, kind="custom", validate=False)
+    return UnitaryRep.from_permutations(group, perms)
 
 
 def standard_rep_symmetric(group: FiniteGroup) -> UnitaryRep:

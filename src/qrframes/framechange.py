@@ -19,13 +19,13 @@ from .operators import (
     DEFAULT_TOL,
     HermitianBasis,
     as_operator,
-    contract_factor,
     kron,
     pair_trace,
     permute_factors,
 )
 from .opequiv import EffectContext, OperationalState, invariant_subspace
 from .quantum import Frame, UnitaryRep, UnsupportedFrameError, localizing_state
+from .relativize import _extract, _place, relative_orientation
 
 
 class MultiFrameScenario:
@@ -88,18 +88,10 @@ class MultiFrameScenario:
         space: sum_g E_j(g) at slot j (x) g.A on the rest."""
         self._check_frame_index(j)
         a_rest = as_operator(a_rest)
-        rest = self.complement(j)
         rest_rep = self.rest_rep(j)
         if a_rest.shape[0] != rest_rep.dim:
             raise ValueError("operand does not match the complement dimension")
-        order = [j] + rest
-        order_dims = [self.dims[f] for f in order]
-        inverse = [order.index(k) for k in range(self.n_factors)]
-        out = np.zeros((self.total_dim, self.total_dim), dtype=complex)
-        for g in self.group.elements():
-            block = kron(self.frames[j].povm.effect(g), rest_rep.act_op(g, a_rest))
-            out += permute_factors(block, order_dims, inverse)
-        return out
+        return _place(self.frames[j].povm, rest_rep.orbit(a_rest), self.dims, j)
 
     def yen_predual_total(self, j: int, omega: np.ndarray) -> np.ndarray:
         """Predual of yen_total: total trace class -> complement of slot j."""
@@ -107,12 +99,8 @@ class MultiFrameScenario:
         omega = as_operator(omega)
         if omega.shape[0] != self.total_dim:
             raise ValueError("operand does not match the total dimension")
-        rest_rep = self.rest_rep(j)
-        out = np.zeros((rest_rep.dim, rest_rep.dim), dtype=complex)
-        for g in self.group.elements():
-            block = contract_factor(omega, self.dims, j, self.frames[j].povm.effect(g))
-            out += rest_rep.act_state(g, block)
-        return out
+        blocks = _extract(self.frames[j].povm, omega, self.dims, j)
+        return self.rest_rep(j).orbit(blocks, dual=True).sum(axis=0)
 
     def lift_total(self, j: int, omega: np.ndarray, omega_rel: np.ndarray) -> np.ndarray:
         """Attach a frame-j state to an operator on the complement of slot j."""
@@ -356,16 +344,10 @@ def triangular_reconstruction(frame1: Frame, frame2: Frame, rho_rel1: np.ndarray
 
         sum_h mu(h) U_S(h)^dag rho U_S(h),  mu = born(E2 * E1, omega_joint).
     """
-    from .relativize import relative_orientation
-
     rho_rel1 = as_operator(rho_rel1)
     if orientation is None:
         orientation = relative_orientation(frame1, frame2)
-    omega_joint = as_operator(omega_joint)
-    mu = np.array([pair_trace(omega_joint, e).real for e in orientation.effects])
+    mu = orientation._pairings(as_operator(omega_joint))
     if abs(mu.sum() - 1.0) > 1e-6:
         raise ValueError("joint state must be normalized")
-    out = np.zeros_like(rho_rel1)
-    for h in frame1.group.elements():
-        out += mu[h] * sys_rep.act_state(h, rho_rel1)
-    return out
+    return np.tensordot(mu, sys_rep.orbit(rho_rel1, dual=True), axes=1)

@@ -124,12 +124,6 @@ class EffectContext:
         return f"EffectContext(dim={self.dim}, rank={self.rank}, generators={len(self.generators)})"
 
 
-def make_context(generators: Sequence[np.ndarray], dim: Optional[int] = None,
-                 tol: float = DEFAULT_TOL) -> EffectContext:
-    """Effect context from a family of Hermitian generators."""
-    return EffectContext(generators, dim=dim, tol=tol)
-
-
 def equivalent(ctx: EffectContext, a: np.ndarray, b: np.ndarray,
                tol: float = DEFAULT_TOL) -> bool:
     """True iff every generator assigns a and b equal traces within tol."""

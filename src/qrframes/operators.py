@@ -251,10 +251,6 @@ class HermitianBasis:
         return out
 
 
-def hermitian_basis(dim: int) -> HermitianBasis:
-    return HermitianBasis(dim)
-
-
 def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return scale * (g + dagger(g)) / 2

@@ -9,7 +9,7 @@ the group itself) or the left coset action (on G/H).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -81,6 +81,33 @@ class UnitaryRep:
         self.dim = dim
         self.matrices = mats
         self.kind = kind
+        self.permutations: Optional[np.ndarray] = None
+
+    @classmethod
+    def from_permutations(cls, group: FiniteGroup, permutations,
+                          kind: str = "custom") -> "UnitaryRep":
+        """The permutation representation U(g)|i> = |permutations[g][i]>.
+
+        The rep keeps ``permutations`` (read-only, one row per element), and
+        its group action becomes an index gather instead of two products.
+        """
+        perms = np.array(permutations, dtype=np.intp)
+        n = group.order
+        if perms.ndim != 2 or perms.shape[0] != n:
+            raise ValueError(f"need {n} permutations, got array of shape {perms.shape}")
+        dim = perms.shape[1]
+        if not np.array_equal(np.sort(perms, axis=1), np.broadcast_to(np.arange(dim), perms.shape)):
+            raise ValueError("every row must be a permutation of range(dim)")
+        # U(g)U(h) = U(gh): composed[g, h] = permutations[g][permutations[h]]
+        composed = perms[np.arange(n)[:, None, None], perms[None, :, :]]
+        if not np.array_equal(composed, perms[group.cayley]):
+            raise ValueError("permutations do not compose as the group does")
+        mats = np.zeros((n, dim, dim), dtype=complex)
+        mats[np.arange(n)[:, None], perms, np.arange(dim)] = 1.0
+        rep = cls(group, mats, kind=kind, validate=False)
+        perms.setflags(write=False)
+        rep.permutations = perms
+        return rep
 
     def mat(self, g: int) -> np.ndarray:
         return self.matrices[g]
@@ -90,6 +117,10 @@ class UnitaryRep:
         a = np.asarray(a, dtype=complex)
         if a.shape != (self.dim, self.dim):
             raise ValueError(f"operator shape {a.shape} does not match rep dim {self.dim}")
+        if self.permutations is not None:
+            # (U A U^dag)[p(i), p(j)] = A[i, j] with p = permutations[g].
+            q = self.permutations[self.group.inverse[g]]
+            return a[q[:, None], q]
         u = self.matrices[g]
         return u @ a @ dagger(u)
 
@@ -98,13 +129,43 @@ class UnitaryRep:
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (self.dim, self.dim):
             raise ValueError(f"state shape {rho.shape} does not match rep dim {self.dim}")
+        if self.permutations is not None:
+            p = self.permutations[g]
+            return rho[p[:, None], p]
         u = self.matrices[g]
         return dagger(u) @ rho @ u
 
+    def orbit(self, ops: np.ndarray, dual: bool = False) -> np.ndarray:
+        """The stack of g.A_g over all elements g, or of g.rho_g with ``dual``.
+
+        ``ops`` is a stack indexed by element, or one operator A, which gives
+        its orbit g.A.  Weighted orbit sums sum_g w(g) g.A are
+        ``np.tensordot(w, rep.orbit(a), axes=1)``.
+        """
+        ops = np.asarray(ops, dtype=complex)
+        n = self.group.order
+        if ops.shape not in ((self.dim, self.dim), (n, self.dim, self.dim)):
+            raise ValueError(f"operand shape {ops.shape} is neither one operator nor "
+                             f"{n} operators of rep dim {self.dim}")
+        if self.permutations is not None:
+            idx = self.permutations if dual else self.permutations[self.group.inverse]
+            if ops.ndim == 2:
+                return ops[idx[:, :, None], idx[:, None, :]]
+            return ops[np.arange(n)[:, None, None], idx[:, :, None], idx[:, None, :]]
+        u = self.matrices
+        u_dag = np.conj(u).transpose(0, 2, 1)
+        return u_dag @ ops @ u if dual else u @ ops @ u_dag
+
     def tensor(self, other: "UnitaryRep") -> "UnitaryRep":
-        """Pointwise tensor product representation on the same group."""
+        """Pointwise tensor product representation on the same group; the
+        product of two permutation reps is a permutation rep."""
         if other.group != self.group:
             raise ValueError("tensor factors must represent the same group")
+        if self.permutations is not None and other.permutations is not None:
+            # |i, k> = |i * d2 + k> goes to |p1(i) * d2 + p2(k)>.
+            perms = (self.permutations[:, :, None] * other.dim
+                     + other.permutations[:, None, :]).reshape(self.group.order, -1)
+            return UnitaryRep.from_permutations(self.group, perms)
         mats = [np.kron(self.matrices[g], other.matrices[g]) for g in self.group.elements()]
         return UnitaryRep(self.group, mats, kind="custom", validate=False)
 
@@ -114,23 +175,13 @@ class UnitaryRep:
 
 def left_regular_rep(group: FiniteGroup) -> UnitaryRep:
     """Permutation matrices U(g)|h> = |gh> on C^|G|."""
-    n = group.order
-    mats = np.zeros((n, n, n), dtype=complex)
-    for g in range(n):
-        for h in range(n):
-            mats[g, group.cayley[g, h], h] = 1.0
-    return UnitaryRep(group, mats, kind="left_regular", validate=False)
+    return UnitaryRep.from_permutations(group, group.cayley, kind="left_regular")
 
 
 def left_right_rep(group: FiniteGroup) -> UnitaryRep:
     """Permutation matrices U(g)|h> = |h g^-1> on C^|G|."""
-    n = group.order
-    mats = np.zeros((n, n, n), dtype=complex)
-    for g in range(n):
-        ginv = group.inv(g)
-        for h in range(n):
-            mats[g, group.cayley[h, ginv], h] = 1.0
-    return UnitaryRep(group, mats, kind="left_right", validate=False)
+    return UnitaryRep.from_permutations(group, group.cayley[:, group.inverse].T,
+                                        kind="left_right")
 
 
 def trivial_rep(group: FiniteGroup, dim: int = 1) -> UnitaryRep:
@@ -142,14 +193,6 @@ def rep_from_matrices(group: FiniteGroup, matrices: Sequence[np.ndarray],
                       tol: float = DEFAULT_TOL) -> UnitaryRep:
     """Validated representation from explicit matrices indexed by element."""
     return UnitaryRep(group, matrices, kind="custom", tol=tol, validate=True)
-
-
-def g_act_op(rep: UnitaryRep, g: int, a: np.ndarray) -> np.ndarray:
-    return rep.act_op(g, a)
-
-
-def g_act_state(rep: UnitaryRep, g: int, rho: np.ndarray) -> np.ndarray:
-    return rep.act_state(g, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -200,25 +243,50 @@ class PointSpace:
 
 
 class POVM:
-    """A POVM on a finite sample space: one effect per point, summing to I."""
+    """A POVM on a finite sample space: one effect per point, summing to I.
+
+    ``effects`` is a tuple of read-only views into one array the POVM owns.
+    A sharp PVM that is diagonal in the computational basis also carries
+    ``labels``: E(x) is the projector onto the basis indices i with
+    labels[i] == x.  Outcome statistics and relativization then read
+    diagonals and move blocks instead of multiplying effects; ``labels`` is
+    None for every other POVM.
+    """
 
     def __init__(self, space, effects: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> None:
         effects = [as_operator(e) for e in effects]
         if len(effects) != space.size:
             raise ValueError(f"need {space.size} effects, got {len(effects)}")
         dim = effects[0].shape[0]
-        total = np.zeros((dim, dim), dtype=complex)
         for i, e in enumerate(effects):
             if e.shape[0] != dim:
                 raise ValueError("all effects must share one dimension")
             if not is_effect(e, tol):
                 raise ValueError(f"entry {i} is not an effect (0 <= E <= 1)")
-            total += e
-        if np.max(np.abs(total - np.eye(dim))) > tol:
+        stack = np.array(effects)          # the POVM's own copy
+        if np.max(np.abs(stack.sum(axis=0) - np.eye(dim))) > tol:
             raise ValueError("effects do not sum to the identity")
+        self._init(space, stack, None)
+
+    @classmethod
+    def _sharp(cls, space, labels: np.ndarray) -> "POVM":
+        """The diagonal PVM of ``labels``, from data the library built
+        itself, so without re-validation."""
+        labels = np.array(labels, dtype=np.intp)
+        dim = labels.shape[0]
+        stack = np.zeros((space.size, dim, dim), dtype=complex)
+        stack[labels, np.arange(dim), np.arange(dim)] = 1.0
+        labels.setflags(write=False)
+        povm = cls.__new__(cls)
+        povm._init(space, stack, labels)
+        return povm
+
+    def _init(self, space, stack: np.ndarray, labels: Optional[np.ndarray]) -> None:
+        stack.setflags(write=False)
         self.space = space
-        self.effects = [e.copy() for e in effects]
-        self.dim = dim
+        self.effects = tuple(stack)
+        self.labels = labels
+        self.dim = stack.shape[1]
 
     @property
     def size(self) -> int:
@@ -229,6 +297,15 @@ class POVM:
 
     def act(self, g: int, x: int) -> int:
         return self.space.act(g, x)
+
+    def _pairings(self, rho: np.ndarray) -> np.ndarray:
+        """Re tr[rho E(x)] for every outcome x, without validating rho."""
+        if rho.shape != (self.dim, self.dim):
+            raise ValueError(f"operand shape {rho.shape} does not match POVM dim {self.dim}")
+        if self.labels is not None:
+            return np.bincount(self.labels, weights=np.diagonal(rho).real,
+                               minlength=self.size)
+        return np.array([pair_trace(rho, e).real for e in self.effects])
 
     def __repr__(self) -> str:
         return f"POVM({self.size} outcomes, dim={self.dim})"
@@ -241,19 +318,13 @@ def canonical_pvm(rep: UnitaryRep) -> POVM:
     left-right representation it is P(g) = |g^-1><g^-1|.
     """
     group = rep.group
-    n = group.order
     if rep.kind == "left_regular":
-        point = list(range(n))
+        labels = np.arange(group.order)
     elif rep.kind == "left_right":
-        point = [group.inv(g) for g in range(n)]
+        labels = group.inverse          # basis index g^-1 is the point g
     else:
         raise ValueError("canonical_pvm requires a left_regular or left_right rep")
-    effects = []
-    for g in range(n):
-        e = np.zeros((n, n), dtype=complex)
-        e[point[g], point[g]] = 1.0
-        effects.append(e)
-    return POVM(GroupSpace(group), effects)
+    return POVM._sharp(GroupSpace(group), labels)
 
 
 def uniform_povm(rep: UnitaryRep) -> POVM:
@@ -285,24 +356,12 @@ def coherent_state_povm(rep: UnitaryRep, seed_vector: np.ndarray,
 
 def coset_permutation_rep(cosets: CosetSpace) -> UnitaryRep:
     """Permutation representation of G on the coset space, U(g)|c> = |g.c>."""
-    n = cosets.parent.order
-    m = cosets.n_cosets
-    mats = np.zeros((n, m, m), dtype=complex)
-    for g in range(n):
-        for c in range(m):
-            mats[g, cosets.act(g, c), c] = 1.0
-    return UnitaryRep(cosets.parent, mats, kind="custom", validate=False)
+    return UnitaryRep.from_permutations(cosets.parent, cosets.action)
 
 
 def canonical_coset_pvm(cosets: CosetSpace) -> POVM:
     """The sharp covariant PVM P(c) = |c><c| on the coset permutation space."""
-    m = cosets.n_cosets
-    effects = []
-    for c in range(m):
-        e = np.zeros((m, m), dtype=complex)
-        e[c, c] = 1.0
-        effects.append(e)
-    return POVM(CosetSampleSpace(cosets), effects)
+    return POVM._sharp(CosetSampleSpace(cosets), np.arange(cosets.n_cosets))
 
 
 # ---------------------------------------------------------------------------
@@ -420,4 +479,4 @@ def born(povm: POVM, rho: np.ndarray, tol: float = 1e-6) -> np.ndarray:
         raise ValueError(f"state dim {rho.shape[0]} does not match POVM dim {povm.dim}")
     if abs(np.trace(rho) - 1) > tol or not is_hermitian(rho, tol):
         raise ValueError("born requires a density operator (unit trace, Hermitian)")
-    return np.array([pair_trace(rho, e).real for e in povm.effects])
+    return povm._pairings(rho)

@@ -23,6 +23,7 @@ from .operators import (
     is_density,
     kron,
     op_norm,
+    permute_factors,
 )
 from .quantum import (
     CosetSampleSpace,
@@ -44,8 +45,53 @@ class PreconditionError(ValueError):
         super().__init__(f"{message} (deviation {deviation:.3e})")
 
 
+def _layout(dims, slot: int) -> tuple:
+    """(before, frame, after): the factor dims before ``slot``, at it and
+    after it, each multiplied out."""
+    dims = [int(d) for d in dims]
+    return int(np.prod(dims[:slot])), dims[slot], int(np.prod(dims[slot + 1:]))
+
+
+def _place(povm: POVM, blocks: np.ndarray, dims, slot: int) -> np.ndarray:
+    """sum_x E(x) at factor ``slot`` of ``dims`` (x) blocks[x] on the other
+    factors: the relativization kernel, given the relativized blocks.
+
+    A labelled PVM puts blocks[labels[i]] on the diagonal block of frame
+    index i; any other POVM takes the dense sum of Kronecker products.
+    """
+    b, f, a = _layout(dims, slot)
+    if povm.labels is not None:
+        out = np.zeros((b, f, a, b, f, a), dtype=complex)
+        idx = np.arange(f)
+        out[:, idx, :, :, idx, :] = blocks[povm.labels].reshape(f, b, a, b, a)
+        return out.reshape(b * f * a, b * f * a)
+    out = np.zeros((b * f * a, b * f * a), dtype=complex)
+    for e, block in zip(povm.effects, blocks):
+        out += kron(e, block)
+    return permute_factors(out, (f, b, a), (1, 0, 2)) if b > 1 else out
+
+
+def _extract(povm: POVM, omega: np.ndarray, dims, slot: int) -> np.ndarray:
+    """The stack over outcomes x of Tr_slot[(E(x) at ``slot``) omega]: the
+    predual kernel, before the dual group action.
+
+    A labelled PVM sums the diagonal blocks of the frame indices labelled
+    x; any other POVM contracts each effect against the frame factor.
+    """
+    b, f, a = _layout(dims, slot)
+    if povm.labels is not None:
+        idx = np.arange(f)
+        diag = omega.reshape(b, f, a, b, f, a)[:, idx, :, :, idx, :].reshape(f, b * a, b * a)
+        out = np.zeros((povm.size, b * a, b * a), dtype=complex)
+        np.add.at(out, povm.labels, diag)
+        return out
+    return np.array([contract_factor(omega, dims, slot, e) for e in povm.effects])
+
+
 class YenMap:
-    """The relativization channel of a principal frame against a system rep."""
+    """The relativization channel of a principal frame against a system rep:
+    the one-frame case of ``MultiFrameScenario.yen_total``, with the frame
+    at slot 0."""
 
     def __init__(self, frame: Frame, sys_rep: UnitaryRep) -> None:
         if not frame.principal:
@@ -66,10 +112,7 @@ class YenMap:
         a = as_operator(a)
         if a.shape[0] != self.dim_sys:
             raise ValueError(f"operand dim {a.shape[0]} does not match system dim {self.dim_sys}")
-        out = np.zeros((self.dim_total, self.dim_total), dtype=complex)
-        for g in self.frame.group.elements():
-            out += kron(self.frame.povm.effect(g), self.sys_rep.act_op(g, a))
-        return out
+        return _place(self.frame.povm, self.sys_rep.orbit(a), (self.dim_frame, self.dim_sys), 0)
 
     def predual(self, omega: np.ndarray) -> np.ndarray:
         """The unique map with tr[predual(W) A] = tr[W apply(A)].
@@ -81,21 +124,13 @@ class YenMap:
             raise ValueError(
                 f"operand dim {omega.shape[0]} does not match composite dim {self.dim_total}"
             )
-        dims = (self.dim_frame, self.dim_sys)
-        out = np.zeros((self.dim_sys, self.dim_sys), dtype=complex)
-        for g in self.frame.group.elements():
-            block = contract_factor(omega, dims, 0, self.frame.povm.effect(g))
-            out += self.sys_rep.act_state(g, block)
-        return out
+        blocks = _extract(self.frame.povm, omega, (self.dim_frame, self.dim_sys), 0)
+        return self.sys_rep.orbit(blocks, dual=True).sum(axis=0)
 
     def conditioned(self, omega: np.ndarray, a: np.ndarray) -> np.ndarray:
         """Restriction of apply(a) by a frame state: sum_g mu_omega(g) g.A."""
         mu = born(self.frame.povm, omega)
-        a = as_operator(a)
-        out = np.zeros((self.dim_sys, self.dim_sys), dtype=complex)
-        for g in self.frame.group.elements():
-            out += mu[g] * self.sys_rep.act_op(g, a)
-        return out
+        return np.tensordot(mu, self.sys_rep.orbit(as_operator(a)), axes=1)
 
     def matrix(self) -> np.ndarray:
         """The channel as a matrix on column-vectorized operators (oracle use)."""
@@ -135,6 +170,14 @@ def relative_orientation(frame1: Frame, frame2: Frame) -> POVM:
         raise ValueError("frames must share one group")
     if not (frame1.principal and frame2.principal):
         raise UnsupportedFrameError("relative orientation needs principal frames")
+    labels1, labels2 = frame1.povm.labels, frame2.povm.labels
+    perms2 = frame2.rep.permutations
+    if labels1 is not None and labels2 is not None and perms2 is not None:
+        # Every effect is diagonal: index (i, k) lies in E1(g) with g =
+        # labels1[i], and in g.E2(x) when U2(g)^-1 = U2(g^-1) sends k to an
+        # index labelled x.
+        inverse = perms2[frame1.group.inverse[labels1]]
+        return POVM._sharp(GroupSpace(frame1.group), labels2[inverse].reshape(-1))
     ym = YenMap(frame1, frame2.rep)
     effects = [ym.apply(e) for e in frame2.povm.effects]
     return POVM(GroupSpace(frame1.group), effects)
@@ -173,10 +216,7 @@ def product_relative_state(frame: Frame, sys_rep: UnitaryRep, omega: np.ndarray,
     if not is_density(rho, tol):
         raise ValueError("rho must be a density operator")
     mu = born(frame.povm, omega)
-    out = np.zeros((sys_rep.dim, sys_rep.dim), dtype=complex)
-    for g in frame.group.elements():
-        out += mu[g] * sys_rep.act_state(g, rho)
-    return out
+    return np.tensordot(mu, sys_rep.orbit(rho, dual=True), axes=1)
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +254,8 @@ class HomogeneousYenMap:
             raise PreconditionError(
                 "operand is not invariant under the isotropy subgroup", dev
             )
-        out = np.zeros((self.dim_total, self.dim_total), dtype=complex)
-        for c in range(self.cosets.n_cosets):
-            rep_elt = self.cosets.reps[c]
-            out += kron(self.frame.povm.effect(c), self.sys_rep.act_op(rep_elt, a))
-        return out
+        blocks = self.sys_rep.orbit(a)[list(self.cosets.reps)]
+        return _place(self.frame.povm, blocks, (self.frame.dim, self.sys_rep.dim), 0)
 
 
 def yen_homogeneous(frame: Frame, sys_rep: UnitaryRep, a: np.ndarray,

@@ -9,9 +9,11 @@ ordered by check name.
 from __future__ import annotations
 
 import os
+import threading
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -229,12 +231,27 @@ def check_yen_predual_duality(group, rng, tol, trials):
 # exhaustiveness of relativized effects
 # ---------------------------------------------------------------------------
 
-_EXHAUSTIVENESS_MEMO: Dict[int, tuple] = {}
+class _RunMemo:
+    """Values shared by the checks of one ``run_checks`` call, built once."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._values: dict = {}
+
+    def get(self, key, build):
+        with self._lock:
+            if key not in self._values:
+                self._values[key] = build()
+            return self._values[key]
+
+
+# The memo of the run_checks call executing the current check; a check called
+# on its own builds what it needs.
+_RUN_MEMO: ContextVar[Optional[_RunMemo]] = ContextVar("qrframes_run_memo", default=None)
 
 
 def _exhaustiveness_contexts(group, sys_dim=2):
-    key = id(group)
-    if key not in _EXHAUSTIVENESS_MEMO:
+    def build():
         frame = canonical_frame(group)
         sys_rep = standard_system_rep(group, sys_dim)
         ym = YenMap(frame, sys_rep)
@@ -242,8 +259,10 @@ def _exhaustiveness_contexts(group, sys_dim=2):
                                  dim=ym.dim_total)
         framed = framed_subspace(frame, sys_rep.dim)
         invariant = invariant_subspace(frame.rep.tensor(sys_rep))
-        _EXHAUSTIVENESS_MEMO[key] = (relative, framed, intersect(framed, invariant))
-    return _EXHAUSTIVENESS_MEMO[key]
+        return relative, framed, intersect(framed, invariant)
+
+    memo = _RUN_MEMO.get()
+    return build() if memo is None else memo.get(("exhaustiveness", sys_dim), build)
 
 
 def check_exhaustiveness_rank(group, rng, tol, trials):
@@ -827,11 +846,17 @@ def run_checks(group: FiniteGroup, suites: Sequence[str] = ("all",), tol: float 
         env = os.environ.get("QRF_THREADS", "").strip()
         workers = int(env) if env.isdigit() and int(env) > 0 else min(4, os.cpu_count() or 1)
 
+    memo = _RunMemo()
+
     def run_one(name: str) -> CheckResult:
         claim, fn = CHECKS[name]
         rng = _rng_for(seed, name)
+        token = _RUN_MEMO.set(memo)
         start = time.perf_counter()
-        out = fn(group, rng, tol, trials)
+        try:
+            out = fn(group, rng, tol, trials)
+        finally:
+            _RUN_MEMO.reset(token)
         elapsed = (time.perf_counter() - start) * 1000.0
         dev = float(out["max_deviation"])
         return CheckResult(name=name, claim=claim, passed=dev <= tol,

@@ -29,7 +29,6 @@ from qrframes import (
     left_regular_rep,
     left_right_rep,
     localizing_state,
-    make_context,
     op_norm,
     operational_agreement,
     product_relative_state,
@@ -334,7 +333,7 @@ def test_criterion_10_oracle_equivalence():
                 direct - adjoint @ omega.reshape(-1)))))
         # equivalence test against the explicit kernel-membership oracle
         gens = [random_hermitian(rng, n) for _ in range(2)] + [np.eye(n)]
-        ctx = make_context(gens)
+        ctx = EffectContext(gens)
         kernel = ctx.kernel_coords()
         for _ in range(200):
             a = random_hermitian(rng, n)

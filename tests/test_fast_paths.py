@@ -1,0 +1,250 @@
+"""Structured fast paths against the dense path as an oracle.
+
+Permutation representations act by index gathers and labelled (sharp,
+diagonal) PVMs relativize by moving blocks.  Each test rebuilds the same
+representation with ``rep_from_matrices`` and the same POVM with a plain
+``POVM(space, effects)``, which carry no structure and so take the dense
+path, and requires agreement at machine precision.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from qrframes import (
+    POVM,
+    MultiFrameScenario,
+    YenMap,
+    born,
+    canonical_frame,
+    classify_frame,
+    coherent_state_povm,
+    left_regular_rep,
+    left_right_rep,
+    relative_orientation,
+    rep_from_matrices,
+    triangular_reconstruction,
+    uniform_povm,
+    yen_homogeneous,
+)
+from qrframes.builtins import builtin_group, character_rep, permutation_rep
+from qrframes.groups import CosetSpace, Subgroup
+from qrframes.operators import kron, random_density, random_hermitian
+from qrframes.quantum import canonical_coset_pvm, coset_permutation_rep
+
+TOL = 1e-12
+GROUPS = ("z2", "z4", "s3", "q8", "d5")
+FRAME_KINDS = ("left_regular", "left_right")
+SYSTEMS = ("left_regular", "left_right", "coset")
+
+
+def _cosets(group):
+    """Left cosets of the subgroup generated by the first involution."""
+    e = group.identity
+    t = next(g for g in group.elements() if g != e and group.cayley[g, g] == e)
+    return CosetSpace(group, Subgroup(group, [e, t]))
+
+
+def _system(group, kind):
+    if kind == "left_regular":
+        return left_regular_rep(group)
+    if kind == "left_right":
+        return left_right_rep(group)
+    return coset_permutation_rep(_cosets(group))
+
+
+def _dense_rep(rep):
+    dense = rep_from_matrices(rep.group, rep.matrices)
+    assert rep.permutations is not None and dense.permutations is None
+    return dense
+
+
+def _dense_povm(povm):
+    dense = POVM(povm.space, povm.effects)
+    assert povm.labels is not None and dense.labels is None
+    return dense
+
+
+def _dense_frame(frame):
+    return classify_frame(_dense_rep(frame.rep), _dense_povm(frame.povm))
+
+
+def _close(actual, expected):
+    assert np.max(np.abs(np.asarray(actual) - np.asarray(expected))) <= TOL
+
+
+@pytest.mark.parametrize("name", GROUPS)
+@pytest.mark.parametrize("kind", SYSTEMS)
+def test_group_action_matches_dense(name, kind, rng):
+    rep = _system(builtin_group(name), kind)
+    dense = _dense_rep(rep)
+    a = random_hermitian(rng, rep.dim)
+    stack = np.array([random_hermitian(rng, rep.dim) for _ in rep.group.elements()])
+    for g in rep.group.elements():
+        _close(rep.act_op(g, a), dense.act_op(g, a))
+        _close(rep.act_state(g, a), dense.act_state(g, a))
+    for dual in (False, True):
+        _close(rep.orbit(a, dual=dual), dense.orbit(a, dual=dual))
+        _close(rep.orbit(stack, dual=dual), dense.orbit(stack, dual=dual))
+    with pytest.raises(ValueError):
+        rep.orbit(stack[1:])
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_tensor_of_permutation_reps_matches_dense(name):
+    group = builtin_group(name)
+    a, b = left_regular_rep(group), _system(group, "coset")
+    product = a.tensor(b)
+    assert product.permutations is not None
+    _close(product.matrices, _dense_rep(a).tensor(_dense_rep(b)).matrices)
+
+
+def test_builtin_permutation_rep_is_structured():
+    group = builtin_group("s3")
+    rep = permutation_rep(group)
+    for g, p in enumerate(group.permutations):
+        assert tuple(rep.permutations[g]) == p
+    _close(rep.matrices, _dense_rep(rep).matrices)
+
+
+@pytest.mark.parametrize("name", GROUPS + ("s4",))
+@pytest.mark.parametrize("frame_kind", FRAME_KINDS)
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_yen_apply_and_predual_match_dense(name, frame_kind, system, rng):
+    group = builtin_group(name)
+    frame = canonical_frame(group, frame_kind)
+    sys_rep = _system(group, system)
+    oracle = YenMap(_dense_frame(frame), _dense_rep(sys_rep))
+    a = random_hermitian(rng, sys_rep.dim)
+    omega = random_hermitian(rng, oracle.dim_total)
+    expected_apply, expected_predual = oracle.apply(a), oracle.predual(omega)
+    # every mix of structured and dense frame and system
+    for f, s in itertools.product((frame, oracle.frame), (sys_rep, oracle.sys_rep)):
+        ym = YenMap(f, s)
+        _close(ym.apply(a), expected_apply)
+        _close(ym.predual(omega), expected_predual)
+
+
+@pytest.mark.parametrize("name", GROUPS)
+@pytest.mark.parametrize("frame_kind", FRAME_KINDS)
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_scenario_yen_total_matches_dense(name, frame_kind, system, rng):
+    group = builtin_group(name)
+    frames = [canonical_frame(group, frame_kind), canonical_frame(group, frame_kind)]
+    sys_rep = _system(group, system)
+    fast = MultiFrameScenario(frames, sys_rep)
+    dense = MultiFrameScenario([_dense_frame(f) for f in frames], _dense_rep(sys_rep))
+    assert fast.rest_rep(0).permutations is not None
+    omega = random_hermitian(rng, fast.total_dim)
+    for j in range(2):
+        a = random_hermitian(rng, fast.rest_rep(j).dim)
+        _close(fast.yen_total(j, a), dense.yen_total(j, a))
+        _close(fast.yen_predual_total(j, omega), dense.yen_predual_total(j, omega))
+
+
+@pytest.mark.parametrize("name", GROUPS)
+@pytest.mark.parametrize("frame_kind", FRAME_KINDS)
+def test_scenario_without_system_matches_yen_map(name, frame_kind, rng):
+    group = builtin_group(name)
+    frames = [canonical_frame(group, frame_kind), canonical_frame(group, "left_regular")]
+    scenario = MultiFrameScenario(frames)
+    dense = YenMap(_dense_frame(frames[0]), _dense_rep(frames[1].rep))
+    a = random_hermitian(rng, group.order)
+    omega = random_hermitian(rng, group.order ** 2)
+    _close(scenario.yen_total(0, a), dense.apply(a))
+    _close(scenario.yen_predual_total(0, omega), dense.predual(omega))
+
+
+@pytest.mark.parametrize("name", GROUPS)
+@pytest.mark.parametrize("frame_kind", FRAME_KINDS)
+def test_born_matches_dense(name, frame_kind, rng):
+    frame = canonical_frame(builtin_group(name), frame_kind)
+    rho = random_density(rng, frame.dim)
+    _close(born(frame.povm, rho), born(_dense_povm(frame.povm), rho))
+
+
+@pytest.mark.parametrize("name", GROUPS)
+@pytest.mark.parametrize("kinds", list(itertools.product(FRAME_KINDS, repeat=2)))
+def test_relative_orientation_matches_dense(name, kinds):
+    group = builtin_group(name)
+    f1, f2 = (canonical_frame(group, k) for k in kinds)
+    fast = relative_orientation(f1, f2)
+    assert fast.labels is not None
+    dense = relative_orientation(_dense_frame(f1), _dense_frame(f2))
+    assert dense.labels is None
+    _close(np.array(fast.effects), np.array(dense.effects))
+
+
+@pytest.mark.parametrize("name", GROUPS)
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_triangular_reconstruction_matches_dense(name, system, rng):
+    group = builtin_group(name)
+    f1, f2 = canonical_frame(group, "left_regular"), canonical_frame(group, "left_right")
+    sys_rep = _system(group, system)
+    d1, d2 = _dense_frame(f1), _dense_frame(f2)
+    dense_orientation = relative_orientation(d1, d2)
+    rho = random_density(rng, sys_rep.dim)
+    omega = random_density(rng, f1.dim * f2.dim)
+    expected = triangular_reconstruction(d1, d2, rho, _dense_rep(sys_rep), omega,
+                                         orientation=dense_orientation)
+    _close(triangular_reconstruction(f1, f2, rho, sys_rep, omega), expected)
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_homogeneous_yen_matches_dense(name, rng):
+    group = builtin_group(name)
+    cosets = _cosets(group)
+    frame = classify_frame(coset_permutation_rep(cosets), canonical_coset_pvm(cosets))
+    sys_rep = left_regular_rep(group)
+    # an operator invariant under the isotropy subgroup
+    b = random_hermitian(rng, sys_rep.dim)
+    a = sum(sys_rep.act_op(h, b) for h in cosets.subgroup) / cosets.subgroup.order
+    expected = yen_homogeneous(_dense_frame(frame), _dense_rep(sys_rep), a)
+    _close(yen_homogeneous(frame, sys_rep, a), expected)
+
+
+def _reference_apply(frame, sys_rep, a):
+    """sum_g E(g) (x) U(g) A U(g)^dag, written out."""
+    return sum(kron(frame.povm.effect(g), sys_rep.mat(g) @ a @ sys_rep.mat(g).conj().T)
+               for g in frame.group.elements())
+
+
+def test_unstructured_frames_and_systems_take_the_dense_path(z4, rng):
+    regular = left_regular_rep(z4)
+    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=4))
+    seed = np.fft.ifft(phases)
+    coherent = classify_frame(regular, coherent_state_povm(regular, seed / np.linalg.norm(seed)))
+    uniform = classify_frame(regular, uniform_povm(regular))
+    system = character_rep(z4, [0, 1, 3])
+    assert coherent.povm.labels is None and uniform.povm.labels is None
+    assert system.permutations is None
+    for frame in (coherent, uniform):
+        ym = YenMap(frame, system)
+        a = random_hermitian(rng, system.dim)
+        omega = random_hermitian(rng, ym.dim_total)
+        _close(ym.apply(a), _reference_apply(frame, system, a))
+        assert abs(np.trace(ym.predual(omega) @ a) - np.trace(omega @ ym.apply(a))) <= TOL
+        rho = random_density(rng, frame.dim)
+        _close(born(frame.povm, rho),
+               [np.trace(rho @ e).real for e in frame.povm.effects])
+        assert relative_orientation(frame, canonical_frame(z4)).labels is None
+        scenario = MultiFrameScenario([frame], system)
+        _close(scenario.yen_total(0, a), ym.apply(a))
+        _close(scenario.yen_predual_total(0, omega), ym.predual(omega))
+
+
+def test_povm_effects_are_read_only(s3):
+    frame = canonical_frame(s3)
+    povm = frame.povm
+    assert isinstance(povm.effects, tuple)
+    with pytest.raises(ValueError):
+        povm.effects[0][0, 0] = 0.5
+    with pytest.raises(ValueError):
+        povm.effects[1].setflags(write=True)
+    with pytest.raises(ValueError):
+        povm.labels[0] = 1
+    dense = POVM(povm.space, povm.effects)
+    with pytest.raises(ValueError):
+        dense.effect(0)[:] = 0.0
+    assert frame.localizable and frame.sharp

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qrframes import (
+    EffectContext,
     canonical_frame,
     canonical_repr,
     cyclic_group,
@@ -9,11 +10,9 @@ from qrframes import (
     framed_subspace,
     g_twirl,
     g_twirl_predual,
-    hermitian_basis,
     intersect,
     invariant_subspace,
     left_regular_rep,
-    make_context,
     op_norm,
     trivial_rep,
 )
@@ -22,7 +21,7 @@ from qrframes.operators import HermitianBasis, hs_inner, random_density, random_
 
 
 def test_identity_context_rank_one():
-    ctx = make_context([np.eye(3)])
+    ctx = EffectContext([np.eye(3)])
     assert ctx.rank == 1
     assert ctx.kernel_dim == 8
     # all density matrices are equivalent: only the trace is visible
@@ -32,7 +31,7 @@ def test_identity_context_rank_one():
 
 
 def test_full_rank_context_is_equality(rng):
-    ctx = make_context(hermitian_basis(2).matrices)
+    ctx = EffectContext(HermitianBasis(2).matrices)
     assert ctx.rank == 4
     assert ctx.kernel_dim == 0
     a = random_hermitian(rng, 2)
@@ -48,12 +47,12 @@ def test_pvm_plus_products_full_rank(z2):
     gens = list(frame.povm.effects)
     gens.append(np.array([[0, 1], [1, 0]]) / np.sqrt(2))
     gens.append(np.array([[0, 1j], [-1j, 0]]) / np.sqrt(2))
-    ctx = make_context(gens)
+    ctx = EffectContext(gens)
     assert ctx.rank == 4
 
 
 def test_empty_context():
-    ctx = make_context([], dim=2)
+    ctx = EffectContext([], dim=2)
     assert ctx.rank == 0
     assert ctx.kernel_dim == 4
     assert equivalent(ctx, np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
@@ -61,12 +60,12 @@ def test_empty_context():
 
 def test_context_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
-        make_context([np.array([[0.0, 1.0], [0.0, 0.0]])])
+        EffectContext([np.array([[0.0, 1.0], [0.0, 0.0]])])
 
 
 def test_equivalence_is_reflexive_symmetric_transitive(rng):
     frame_gens = [random_hermitian(rng, 3) for _ in range(3)]
-    ctx = make_context(frame_gens)
+    ctx = EffectContext(frame_gens)
     kernel = ctx.kernel_basis()
     for _ in range(20):
         a = random_hermitian(rng, 3)
@@ -80,7 +79,7 @@ def test_equivalence_is_reflexive_symmetric_transitive(rng):
 
 def test_kernel_perturbation_invisible(rng):
     frame = canonical_frame(cyclic_group(3))
-    ctx = make_context(list(frame.povm.effects))
+    ctx = EffectContext(list(frame.povm.effects))
     for k in ctx.kernel_basis():
         a = random_hermitian(rng, 3)
         assert equivalent(ctx, a, a + 0.7 * k)
@@ -93,13 +92,13 @@ def test_kernel_perturbation_invisible(rng):
 def test_rank_nullity(rng):
     for n_gens in (0, 1, 3, 9):
         gens = [random_hermitian(rng, 3) for _ in range(n_gens)]
-        ctx = make_context(gens, dim=3)
+        ctx = EffectContext(gens, dim=3)
         assert ctx.rank + ctx.kernel_dim == 9
 
 
 def test_canonical_repr_fixed_point_and_scaling(rng):
     n = 3
-    ctx = make_context([np.eye(n) / np.sqrt(n)])
+    ctx = EffectContext([np.eye(n) / np.sqrt(n)])
     a = random_hermitian(rng, n)
     projected = canonical_repr(ctx, a)
     assert np.allclose(projected, (np.trace(a).real / n) * np.eye(n))
@@ -110,7 +109,7 @@ def test_canonical_repr_fixed_point_and_scaling(rng):
 
 def test_canonical_repr_characterizes_equivalence(rng):
     gens = [random_hermitian(rng, 3) for _ in range(4)]
-    ctx = make_context(gens)
+    ctx = EffectContext(gens)
     kernel = ctx.kernel_basis()
     agree = disagree = 0
     for _ in range(200):
@@ -129,7 +128,7 @@ def test_canonical_repr_characterizes_equivalence(rng):
 
 def test_projector_idempotent_self_adjoint(rng):
     gens = [random_hermitian(rng, 3) for _ in range(4)]
-    ctx = make_context(gens)
+    ctx = EffectContext(gens)
     p = ctx.projector
     assert np.max(np.abs(p @ p - p)) <= 1e-10
     assert np.max(np.abs(p - p.T)) <= 1e-10
@@ -137,7 +136,7 @@ def test_projector_idempotent_self_adjoint(rng):
 
 def test_span_basis_orthonormal(rng):
     gens = [random_hermitian(rng, 4) for _ in range(6)]
-    ctx = make_context(gens)
+    ctx = EffectContext(gens)
     mats = ctx.span_basis
     for i, a in enumerate(mats):
         for j, b in enumerate(mats):
@@ -201,7 +200,7 @@ def test_framed_subspace_rank(z2):
 
 def test_intersect_self(rng):
     gens = [random_hermitian(rng, 3) for _ in range(4)]
-    ctx = make_context(gens)
+    ctx = EffectContext(gens)
     inter = intersect(ctx, ctx)
     assert inter.rank == ctx.rank
     assert span_residual(inter, ctx) <= 1e-9
@@ -211,15 +210,15 @@ def test_intersect_self(rng):
 def test_intersect_orthogonal_parts():
     e00 = np.diag([1.0, 0.0])
     e11 = np.diag([0.0, 1.0])
-    ctx1 = make_context([e00])
-    ctx2 = make_context([e11])
+    ctx1 = EffectContext([e00])
+    ctx2 = EffectContext([e11])
     assert intersect(ctx1, ctx2).rank == 0
-    both = make_context([e00, e11])
+    both = EffectContext([e00, e11])
     assert intersect(ctx1, both).rank == 1
 
 
 def test_operational_state_class_logic(rng):
-    ctx = make_context([np.eye(2) / np.sqrt(2)])
+    ctx = EffectContext([np.eye(2) / np.sqrt(2)])
     rho = random_density(rng, 2)
     state = OperationalState(rho, ctx)
     assert state.same_class(np.eye(2) / 2)

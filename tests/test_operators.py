@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from qrframes import (
+    HermitianBasis,
     contract_factor,
     embed_factors,
-    hermitian_basis,
     hs_inner,
     is_density,
     is_effect,
@@ -164,7 +164,7 @@ def test_pair_trace_oracle(rng):
 
 
 def test_hermitian_basis_dim2_explicit():
-    basis = hermitian_basis(2)
+    basis = HermitianBasis(2)
     mats = basis.matrices
     expected = [
         np.diag([1.0, 0.0]),
@@ -178,7 +178,7 @@ def test_hermitian_basis_dim2_explicit():
 
 
 def test_hermitian_basis_orthonormal():
-    basis = hermitian_basis(3)
+    basis = HermitianBasis(3)
     mats = basis.matrices
     for i, a in enumerate(mats):
         for j, b in enumerate(mats):
@@ -186,7 +186,7 @@ def test_hermitian_basis_orthonormal():
 
 
 def test_hermitian_basis_reconstruction(rng):
-    basis = hermitian_basis(4)
+    basis = HermitianBasis(4)
     for _ in range(20):
         a = random_hermitian(rng, 4)
         coords = basis.to_coords(a)

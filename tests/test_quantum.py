@@ -13,8 +13,6 @@ from qrframes import (
     coherent_state_povm,
     covariance_deviation,
     cyclic_group,
-    g_act_op,
-    g_act_state,
     is_covariant,
     left_regular_rep,
     left_right_rep,
@@ -78,15 +76,15 @@ def test_canonical_pvm_needs_builtin_rep(z2):
 def test_g_act_identities(s3, rng):
     rep = left_regular_rep(s3)
     a = random_hermitian(rng, 6)
-    assert np.allclose(g_act_op(rep, s3.identity, a), a)
+    assert np.allclose(rep.act_op(s3.identity, a), a)
     for g in s3.elements():
-        assert np.allclose(g_act_op(rep, g, g_act_op(rep, s3.inv(g), a)), a)
+        assert np.allclose(rep.act_op(g, rep.act_op(s3.inv(g), a)), a)
     # composition follows the group product
     for g in s3.elements():
         for h in s3.elements():
             assert np.allclose(
-                g_act_op(rep, s3.mul(g, h), a),
-                g_act_op(rep, g, g_act_op(rep, h, a)),
+                rep.act_op(s3.mul(g, h), a),
+                rep.act_op(g, rep.act_op(h, a)),
             )
 
 
@@ -96,8 +94,8 @@ def test_g_act_state_duality(s3, rng):
         rho = random_density(rng, 6)
         a = random_hermitian(rng, 6)
         for g in s3.elements():
-            lhs = np.trace(g_act_state(rep, g, rho) @ a)
-            rhs = np.trace(rho @ g_act_op(rep, g, a))
+            lhs = np.trace(rep.act_state(g, rho) @ a)
+            rhs = np.trace(rho @ rep.act_op(g, a))
             assert lhs == pytest.approx(rhs)
 
 

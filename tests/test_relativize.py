@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qrframes import (
+    HermitianBasis,
     POVM,
     UnsupportedFrameError,
     YenMap,
@@ -13,7 +14,6 @@ from qrframes import (
     cyclic_group,
     g_twirl,
     g_twirl_predual,
-    hermitian_basis,
     kron,
     left_regular_rep,
     localizing_state,
@@ -65,7 +65,7 @@ def test_yen_z2_two_term_oracle(z2):
 def test_yen_invariance_property(s3, rng):
     frame, sys_rep = _frame_and_system(s3)
     diag = frame.rep.tensor(sys_rep)
-    for b in hermitian_basis(6).matrices[:12]:
+    for b in HermitianBasis(6).matrices[:12]:
         image = yen(frame, sys_rep, b)
         for h in s3.elements():
             assert op_norm(diag.act_op(h, image) - image) <= 1e-10
@@ -93,7 +93,7 @@ def test_yen_positive_and_cp(z3, rng):
 def test_yen_isometric_for_localizable(s3, rng):
     frame, sys_rep = _frame_and_system(s3)
     ym = YenMap(frame, sys_rep)
-    mats = hermitian_basis(6).matrices[:10]
+    mats = HermitianBasis(6).matrices[:10]
     mats += [random_hermitian(rng, 6) for _ in range(20)]
     for a in mats:
         assert abs(op_norm(ym.apply(a)) - op_norm(a)) <= 1e-10
@@ -239,7 +239,7 @@ def test_restrict_unital_and_duality(s3, rng):
 def test_conditioned_yen_localized_identity(s3, rng):
     frame, sys_rep = _frame_and_system(s3)
     omega = localizing_state(frame, s3.identity)
-    for b in hermitian_basis(6).matrices:
+    for b in HermitianBasis(6).matrices:
         assert op_norm(conditioned_yen(frame, sys_rep, omega, b) - b) <= 1e-10
 
 
@@ -387,11 +387,11 @@ def test_non_localizable_frame_relative_span_included_only(z3, rng):
     assert not frame.localizable
     sys_rep = left_regular_rep(z3)
     ym = YenMap(frame, sys_rep)
-    from qrframes import framed_subspace, intersect, invariant_subspace, make_context
+    from qrframes import EffectContext, framed_subspace, intersect, invariant_subspace
     from qrframes.opequiv import span_residual
 
-    relative = make_context([ym.apply(b) for b in hermitian_basis(3).matrices],
-                            dim=ym.dim_total)
+    relative = EffectContext([ym.apply(b) for b in HermitianBasis(3).matrices],
+                             dim=ym.dim_total)
     relational = intersect(framed_subspace(frame, 3),
                            invariant_subspace(frame.rep.tensor(sys_rep)))
     # inclusion is guaranteed; exhaustiveness is only guaranteed for
