@@ -56,6 +56,7 @@ from .quantum import (
 from .opequiv import (
     EffectContext,
     OperationalState,
+    ProductContext,
     canonical_repr,
     equivalent,
     framed_subspace,

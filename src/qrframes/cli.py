@@ -72,7 +72,9 @@ def cmd_verify(args) -> int:
     failed = report["summary"]["failed"]
     if failed:
         for rec in report["checks"]:
-            if not rec["pass"]:
+            if "error" in rec:
+                print(f"FAIL {rec['name']}: {rec['error']}", file=sys.stderr)
+            elif not rec["pass"]:
                 print(f"FAIL {rec['name']}: deviation {rec['max_deviation']:.3e} "
                       f"> tol {args.tol:.1e}", file=sys.stderr)
         return 1

@@ -20,10 +20,15 @@ from .operators import (
     HermitianBasis,
     as_operator,
     kron,
-    pair_trace,
     permute_factors,
 )
-from .opequiv import EffectContext, OperationalState, invariant_subspace
+from .opequiv import (
+    Context,
+    EffectContext,
+    OperationalState,
+    ProductContext,
+    invariant_subspace,
+)
 from .quantum import Frame, UnitaryRep, UnsupportedFrameError, localizing_state
 from .relativize import _extract, _place, relative_orientation
 
@@ -114,10 +119,10 @@ class MultiFrameScenario:
         return permute_factors(kron(omega, omega_rel), order_dims, inverse)
 
     def framing_context(self, reference: int, framed: Sequence[int],
-                        tol: float = DEFAULT_TOL) -> EffectContext:
+                        tol: float = DEFAULT_TOL) -> ProductContext:
         """Context on the complement of ``reference`` whose generators put the
         listed frames' effects at their slots and a Hermitian basis everywhere
-        else."""
+        else, kept as one small context per slot."""
         self._check_frame_index(reference)
         framed = sorted({int(k) for k in framed})
         for k in framed:
@@ -125,27 +130,13 @@ class MultiFrameScenario:
             if k == reference:
                 raise ValueError("the reference frame cannot also be framed")
         key = (reference, tuple(framed))
-        if key in self._contexts:
-            return self._contexts[key]
-        rest = self.complement(reference)
-        pieces_per_slot = []
-        for pos in rest:
-            if pos in framed:
-                pieces_per_slot.append(self.frames[pos].povm.effects)
-            else:
-                pieces_per_slot.append(HermitianBasis(self.dims[pos]).matrices)
-        gens = []
-        def build(slot: int, acc: Optional[np.ndarray]):
-            if slot == len(rest):
-                gens.append(acc)
-                return
-            for piece in pieces_per_slot[slot]:
-                build(slot + 1, piece if acc is None else kron(acc, piece))
-        build(0, None)
-        dim = int(np.prod(self.complement_dims(reference)))
-        ctx = EffectContext(gens, dim=dim, tol=tol)
-        self._contexts[key] = ctx
-        return ctx
+        if key not in self._contexts:
+            self._contexts[key] = ProductContext([
+                EffectContext(self.frames[pos].povm.effects, dim=self.dims[pos], tol=tol)
+                if pos in framed else EffectContext(HermitianBasis(self.dims[pos]).matrices)
+                for pos in self.complement(reference)
+            ])
+        return self._contexts[key]
 
     def __repr__(self) -> str:
         return (f"MultiFrameScenario({self.group.name}, {len(self.frames)} frames, "
@@ -158,7 +149,7 @@ class FramedRelativeState:
 
     def __init__(self, scenario: MultiFrameScenario, reference: int,
                  matrix: np.ndarray, framed: Sequence[int],
-                 context: Optional[EffectContext] = None) -> None:
+                 context: Optional[Context] = None) -> None:
         self.scenario = scenario
         self.reference = int(reference)
         self.matrix = as_operator(matrix)
@@ -186,14 +177,13 @@ class FramedRelativeState:
             if other.reference != self.reference or other.framed != self.framed:
                 raise ValueError("states live in different framed descriptions")
             other = other.matrix
-        delta = self.matrix - as_operator(other)
-        return all(abs(pair_trace(delta, f)) <= tol for f in self.context.generators)
+        return self.class_deviation(other) <= tol
 
     def class_deviation(self, other: Union["FramedRelativeState", np.ndarray]) -> float:
         if isinstance(other, FramedRelativeState):
             other = other.matrix
         delta = self.matrix - as_operator(other)
-        return max(abs(pair_trace(delta, f)) for f in self.context.generators)
+        return float(np.max(np.abs(self.context.pairings(delta))))
 
     def __repr__(self) -> str:
         return (f"FramedRelativeState(reference={self.reference}, "
@@ -209,22 +199,9 @@ def framed_relative_context(scenario: MultiFrameScenario, reference: int,
     scenario._check_frame_index(framed)
     if reference == framed:
         raise ValueError("reference and framed indices must differ")
-    rest = scenario.complement(reference)
-    pieces_per_slot = []
-    for pos in rest:
-        if pos == framed:
-            pieces_per_slot.append(scenario.frames[pos].povm.effects)
-        else:
-            pieces_per_slot.append(HermitianBasis(scenario.dims[pos]).matrices)
-    gens = []
-    def build(slot: int, acc: Optional[np.ndarray]):
-        if slot == len(rest):
-            gens.append(scenario.yen_total(reference, acc))
-            return
-        for piece in pieces_per_slot[slot]:
-            build(slot + 1, piece if acc is None else kron(acc, piece))
-    build(0, None)
-    return EffectContext(gens, dim=scenario.total_dim, tol=tol)
+    gens = scenario.framing_context(reference, (framed,), tol).generators
+    return EffectContext([scenario.yen_total(reference, g) for g in gens],
+                         dim=scenario.total_dim, tol=tol)
 
 
 def lift(frame: Frame, sys_rep: UnitaryRep, omega: np.ndarray,
@@ -330,8 +307,7 @@ def compose_check(scenario: MultiFrameScenario, state: np.ndarray,
     direct = frame_change(scenario, 0, 2, state)
     via = frame_change(scenario, 1, 2, frame_change(scenario, 0, 1, state))
     joint = scenario.framing_context(2, framed=(0, 1))
-    delta = direct.matrix - via.matrix
-    deviation = max(abs(pair_trace(delta, f)) for f in joint.generators)
+    deviation = float(np.max(np.abs(joint.pairings(direct.matrix - via.matrix))))
     return {"max_deviation": float(deviation), "pass": bool(deviation <= tol)}
 
 

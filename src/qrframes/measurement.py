@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .groups import FiniteGroup
-from .operators import DEFAULT_TOL, as_operator, dagger, is_density, op_norm
+from .operators import DEFAULT_TOL, as_operator, dagger, is_density, op_norm, worst_of
 from .quantum import (
     Frame,
     POVM,
@@ -84,7 +84,7 @@ def check_prc(scheme: MeasurementScheme, tol: float = DEFAULT_TOL) -> dict:
     worst = 0.0
     for y in range(scheme.target.size):
         lhs = restrict(scheme.pointer_state, scheme.evolved_pointer_effect(scheme.preimage(y)))
-        worst = max(worst, op_norm(lhs - scheme.target.effect(y)))
+        worst = worst_of(worst, op_norm(lhs - scheme.target.effect(y)))
     return {"max_deviation": float(worst), "pass": bool(worst <= tol),
             "outcomes": scheme.target.size}
 
@@ -120,7 +120,7 @@ def check_rrc(scheme: MeasurementScheme, rep_r: UnitaryRep, tol: float = DEFAULT
         for y in range(scheme.target.size):
             shifted = [scheme.pointer_povm.act(h, x) for x in scheme.preimage(y)]
             lhs = restrict(omega_h, scheme.evolved_pointer_effect(shifted))
-            worst = max(worst, op_norm(lhs - scheme.target.effect(y)))
+            worst = worst_of(worst, op_norm(lhs - scheme.target.effect(y)))
     return {"max_deviation": float(worst), "pass": bool(worst <= tol),
             "pairs": rep_r.group.order * scheme.target.size}
 
@@ -145,7 +145,7 @@ def rrc_relative_orientation(frame_r: Frame, system: Frame,
         for x in range(system.povm.size):
             hx = orientation.act(h, x)
             lhs = restrict(omega_h, orientation.effect(hx))
-            worst = max(worst, op_norm(lhs - system.povm.effect(x)))
+            worst = worst_of(worst, op_norm(lhs - system.povm.effect(x)))
     return {"max_deviation": float(worst), "pass": bool(worst <= tol),
             "pairs": frame_r.group.order * system.povm.size}
 

@@ -11,7 +11,7 @@ vectorization.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -20,16 +20,56 @@ from .operators import (
     HermitianBasis,
     as_operator,
     is_hermitian,
-    kron,
-    pair_trace,
 )
 from .quantum import Frame, UnitaryRep
 
 RANK_CUTOFF = 1e-9          # relative singular-value cutoff for rank decisions
 DENSE_PROJECTOR_LIMIT = 2500  # largest Hermitian-space dim for dense projectors
+ORBIT_BATCH = 1 << 21       # complex entries per batched orbit in invariant_subspace
 
 
-class EffectContext:
+class _SpanViews:
+    """Views that both context types derive from ``rank``, ``span_coords``
+    and ``kernel_coords``."""
+
+    @property
+    def kernel_dim(self) -> int:
+        return self.basis.size - self.rank
+
+    @property
+    def span_basis(self) -> list:
+        """Orthonormal Hermitian matrices spanning span_R(O)."""
+        return list(self._span_stack)
+
+    @property
+    def _span_stack(self) -> np.ndarray:
+        return self.basis.from_coords(self.span_coords)
+
+    @property
+    def projector(self) -> np.ndarray:
+        """Dense projection matrix on Hermitian coordinates (dim**2 square).
+
+        Materializing this is quadratic in dim**2; prefer ``project`` for
+        large spaces.
+        """
+        return self.span_coords.T @ self.span_coords
+
+    def project_coords(self, v: np.ndarray) -> np.ndarray:
+        return self.span_coords.T @ (self.span_coords @ v)
+
+    def kernel_basis(self) -> list:
+        return list(self.basis.from_coords(self.kernel_coords()))
+
+    def report(self) -> dict:
+        return {"rank": self.rank, "kernel_dim": self.kernel_dim,
+                "generators": self._count}
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}(dim={self.dim}, rank={self.rank}, "
+                f"generators={self._count})")
+
+
+class EffectContext(_SpanViews):
     """A finite family of Hermitian generators with its real span.
 
     Carries an orthonormal basis (in Hermitian coordinates) of span_R(O) and
@@ -38,22 +78,26 @@ class EffectContext:
 
     def __init__(self, generators: Sequence[np.ndarray], dim: Optional[int] = None,
                  tol: float = DEFAULT_TOL) -> None:
-        gens = [as_operator(g) for g in generators]
+        gens = list(generators)
         if dim is None:
             if not gens:
                 raise ValueError("empty generator list needs an explicit dim")
-            dim = gens[0].shape[0]
+            dim = np.shape(gens[0])[0]
+        self.dim = int(dim)
+        stack = np.empty((len(gens), self.dim, self.dim), dtype=complex)
         for i, g in enumerate(gens):
+            g = as_operator(g)
             if g.shape[0] != dim:
                 raise ValueError(f"generator {i} has dim {g.shape[0]}, expected {dim}")
             if not is_hermitian(g, tol):
                 raise ValueError(f"generator {i} is not Hermitian within {tol}")
-        self.dim = int(dim)
-        self.generators = gens
+            stack[i] = g
+        stack.setflags(write=False)
+        self._stack = stack
+        self.generators = list(stack)
         self.basis = HermitianBasis(self.dim)
         if gens:
-            mat = np.stack([self.basis.to_coords(g) for g in gens])
-            u, s, vh = np.linalg.svd(mat, full_matrices=False)
+            u, s, vh = np.linalg.svd(self.basis.to_coords(stack), full_matrices=False)
             if s.size and s[0] > 0:
                 rank = int(np.sum(s > RANK_CUTOFF * s[0]))
             else:
@@ -68,27 +112,13 @@ class EffectContext:
         return self._span.shape[0]
 
     @property
-    def kernel_dim(self) -> int:
-        return self.basis.size - self.rank
-
-    @property
-    def span_basis(self) -> list:
-        """Orthonormal Hermitian matrices spanning span_R(O)."""
-        return [self.basis.from_coords(row) for row in self._span]
+    def _count(self) -> int:
+        return len(self._stack)
 
     @property
     def span_coords(self) -> np.ndarray:
         """Orthonormal span basis as rows of real coordinate vectors."""
         return self._span
-
-    @property
-    def projector(self) -> np.ndarray:
-        """Dense projection matrix on Hermitian coordinates (dim**2 square).
-
-        Materializing this is quadratic in dim**2; prefer ``project`` for
-        large spaces.
-        """
-        return self._span.T @ self._span
 
     def project(self, a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
         """HS-orthogonal projection of a Hermitian matrix onto the span."""
@@ -98,8 +128,10 @@ class EffectContext:
         v = self.basis.to_coords(a)
         return self.basis.from_coords(self._span.T @ (self._span @ v))
 
-    def project_coords(self, v: np.ndarray) -> np.ndarray:
-        return self._span.T @ (self._span @ v)
+    def pairings(self, delta: np.ndarray) -> np.ndarray:
+        """tr[delta f] for every generator f, in generator order."""
+        delta = _square(delta, self.dim)
+        return self._stack.reshape(len(self._stack), self.dim ** 2) @ delta.T.reshape(-1)
 
     def kernel_coords(self) -> np.ndarray:
         """Orthonormal basis (rows) of the kernel, i.e. the operators no
@@ -113,29 +145,139 @@ class EffectContext:
                 self._kernel = vh[self.rank:]
         return self._kernel
 
-    def kernel_basis(self) -> list:
-        return [self.basis.from_coords(row) for row in self.kernel_coords()]
 
-    def report(self) -> dict:
-        return {"rank": self.rank, "kernel_dim": self.kernel_dim,
-                "generators": len(self.generators)}
+class ProductContext(_SpanViews):
+    """The product family O_1 (x) ... (x) O_m, kept as one EffectContext per
+    tensor slot.
 
-    def __repr__(self) -> str:
-        return f"EffectContext(dim={self.dim}, rank={self.rank}, generators={len(self.generators)})"
+    The real span of the family is the tensor product of the slot spans, and
+    tr[(A (x) B)(C (x) D)] = tr[AC] tr[BD], so projection and pairing act
+    slot by slot and no product generator is formed.  The rank is the product
+    of the slot ranks.  Generators run over the slots' generators with the
+    first slot slowest.  The dense views (``generators``, ``span_coords``,
+    ``kernel_coords``, ``projector``) are in HermitianBasis(dim) coordinates
+    and are built only when asked for.
+    """
+
+    def __init__(self, slots: Sequence[EffectContext]) -> None:
+        self.slots = tuple(slots)
+        if not self.slots:
+            raise ValueError("a product context needs at least one slot")
+        self.dims = tuple(slot.dim for slot in self.slots)
+        self.dim = int(np.prod(self.dims))
+        self.basis = HermitianBasis(self.dim)
+        # the orthonormal span of each slot, None where it is all of the
+        # slot's Hermitian operators and projecting changes nothing
+        self._spans = [None if slot.kernel_dim == 0 else slot._span_stack
+                       for slot in self.slots]
+        self._span: Optional[np.ndarray] = None
+        self._kernel: Optional[np.ndarray] = None
+
+    @property
+    def rank(self) -> int:
+        return int(np.prod([slot.rank for slot in self.slots]))
+
+    @property
+    def _count(self) -> int:
+        return int(np.prod([slot._count for slot in self.slots]))
+
+    @property
+    def generators(self) -> list:
+        """Every product generator as a dense matrix (built on each access)."""
+        return list(_kron_stack([slot._stack for slot in self.slots]))
+
+    @property
+    def span_coords(self) -> np.ndarray:
+        """Orthonormal span basis as rows: the products of the slots' span
+        bases."""
+        if self._span is None:
+            self._span = self.basis.to_coords(
+                _kron_stack([slot._span_stack for slot in self.slots]))
+        return self._span
+
+    def kernel_coords(self) -> np.ndarray:
+        """Orthonormal basis (rows) of the kernel.
+
+        The complement of V_1 (x) ... (x) V_m is the orthogonal sum over k of
+        V_1 (x) ... (x) V_(k-1) (x) K_k (x) Herm (x) ... (x) Herm, with K_k
+        the kernel of slot k.
+        """
+        if self._kernel is None:
+            rows = [np.zeros((0, self.basis.size))]
+            for k, slot in enumerate(self.slots):
+                if slot.kernel_dim == 0:
+                    continue
+                stacks = ([s._span_stack for s in self.slots[:k]]
+                          + [slot.basis.from_coords(slot.kernel_coords())]
+                          + [s.basis.from_coords(np.eye(s.basis.size))
+                             for s in self.slots[k + 1:]])
+                rows.append(self.basis.to_coords(_kron_stack(stacks)))
+            self._kernel = np.concatenate(rows)
+        return self._kernel
+
+    def project(self, a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+        """HS-orthogonal projection of a Hermitian matrix onto the span: on
+        each slot's factor, X -> sum_r S_r tr[S_r X] over the slot's
+        orthonormal span S_r."""
+        a = as_operator(a)
+        if not is_hermitian(a, tol):
+            raise ValueError("projection is defined on Hermitian operators")
+        m = len(self.dims)
+        t = a.reshape(self.dims + self.dims)
+        for k, span in enumerate(self._spans):
+            if span is not None:
+                traces = np.tensordot(t, span, axes=([k, m + k], [2, 1]))
+                t = np.moveaxis(np.tensordot(traces, span, axes=1), [-2, -1], [k, m + k])
+        out = t.reshape(self.dim, self.dim)
+        return (out + out.conj().T) / 2
+
+    def pairings(self, delta: np.ndarray) -> np.ndarray:
+        """tr[delta f] for every product generator f, in generator order,
+        contracting delta against one slot's generators at a time."""
+        t = _square(delta, self.dim)[None]
+        for slot in self.slots:
+            d = slot.dim
+            r = t.shape[1] // d
+            t = t.reshape(-1, d, r, d, r)
+            # sum_{i,j} t[., i, x, j, y] f[j, i] for each slot generator f
+            t = np.tensordot(t, slot._stack, axes=([1, 3], [2, 1]))
+            t = t.transpose(0, 3, 1, 2).reshape(-1, r, r)
+        return t.reshape(-1)
 
 
-def equivalent(ctx: EffectContext, a: np.ndarray, b: np.ndarray,
+Context = Union[EffectContext, ProductContext]
+
+
+def _square(a: np.ndarray, dim: int) -> np.ndarray:
+    a = np.asarray(a, dtype=complex)
+    if a.shape != (dim, dim):
+        raise ValueError(f"operand shape {a.shape} does not match the context dim {dim}")
+    return a
+
+
+def _kron_stack(stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """kron(A_1, ..., A_m) for every choice of one matrix per stack, with the
+    first stack's index slowest."""
+    out = np.ones((1, 1, 1), dtype=complex)
+    for stack in stacks:
+        n, d = stack.shape[0], stack.shape[1]
+        big = out.shape[1]
+        out = np.einsum("aij,bkl->abikjl", out, stack).reshape(
+            out.shape[0] * n, big * d, big * d)
+    return out
+
+
+def equivalent(ctx: Context, a: np.ndarray, b: np.ndarray,
                tol: float = DEFAULT_TOL) -> bool:
     """True iff every generator assigns a and b equal traces within tol."""
     a = as_operator(a)
     b = as_operator(b)
     if a.shape != b.shape or a.shape[0] != ctx.dim:
         raise ValueError("operands must match the context dimension")
-    delta = a - b
-    return all(abs(pair_trace(delta, f)) <= tol for f in ctx.generators)
+    return bool(np.all(np.abs(ctx.pairings(a - b)) <= tol))
 
 
-def canonical_repr(ctx: EffectContext, a: np.ndarray) -> np.ndarray:
+def canonical_repr(ctx: Context, a: np.ndarray) -> np.ndarray:
     """The canonical class representative: HS projection onto the span.
 
     Two Hermitian operators are context-equivalent exactly when their
@@ -147,7 +289,7 @@ def canonical_repr(ctx: EffectContext, a: np.ndarray) -> np.ndarray:
 class OperationalState:
     """A Hermitian representative considered up to its context's equivalence."""
 
-    def __init__(self, representative: np.ndarray, context: EffectContext) -> None:
+    def __init__(self, representative: np.ndarray, context: Context) -> None:
         rep = as_operator(representative)
         if rep.shape[0] != context.dim:
             raise ValueError("representative does not match the context dimension")
@@ -176,48 +318,42 @@ class OperationalState:
 
 def average_over(rep: UnitaryRep, elements: Iterable[int], a: np.ndarray) -> np.ndarray:
     """Average of g.A over the listed elements (operator orientation)."""
-    elements = list(elements)
-    total = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for g in elements:
-        total += rep.act_op(g, a)
-    return total / len(elements)
+    elements = np.asarray(list(elements), dtype=np.intp)
+    weights = np.bincount(elements, minlength=rep.group.order) / len(elements)
+    return np.tensordot(weights, rep.orbit(a), axes=1)
 
 
 def g_twirl(rep: UnitaryRep, a: np.ndarray) -> np.ndarray:
     """The G-twirl (1/|G|) sum_g U(g) A U(g)^dag, projecting onto the
     invariant operators."""
-    return average_over(rep, rep.group.elements(), a)
+    return rep.orbit(a).mean(axis=0)
 
 
 def g_twirl_predual(rep: UnitaryRep, rho: np.ndarray) -> np.ndarray:
     """The dual average (1/|G|) sum_g U(g)^dag rho U(g) on states."""
-    total = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for g in rep.group.elements():
-        total += rep.act_state(g, rho)
-    return total / rep.group.order
+    return rep.orbit(rho, dual=True).mean(axis=0)
 
 
 def invariant_subspace(rep: UnitaryRep) -> EffectContext:
     """Context spanning the invariant Hermitian operators, i.e. the fixed
-    space of the G-twirl."""
+    space of the G-twirl, which is applied to the Hermitian basis in batches
+    of at most ORBIT_BATCH orbit entries."""
     basis = HermitianBasis(rep.dim)
-    gens = [g_twirl(rep, b) for b in basis.matrices]
+    mats = basis.from_coords(np.eye(basis.size))[:, None]
+    step = max(1, ORBIT_BATCH // (rep.group.order * rep.dim ** 2))
+    gens = np.concatenate([rep.orbit(mats[k:k + step]).mean(axis=1)
+                           for k in range(0, basis.size, step)])
     return EffectContext(gens, dim=rep.dim)
 
 
-def framed_subspace(frame: Frame, system_dim: int) -> EffectContext:
+def framed_subspace(frame: Frame, system_dim: int) -> ProductContext:
     """Context of framed operators: the real span of E_R(x) (x) B_k over
     sample points and a Hermitian basis of the system factor."""
-    sys_basis = HermitianBasis(system_dim)
-    gens = []
-    for x in range(frame.povm.size):
-        e = frame.povm.effect(x)
-        for b in sys_basis.matrices:
-            gens.append(kron(e, b))
-    return EffectContext(gens, dim=frame.dim * system_dim)
+    return ProductContext([EffectContext(frame.povm.effects, dim=frame.dim),
+                           EffectContext(HermitianBasis(system_dim).matrices)])
 
 
-def span_residual(ctx_from: EffectContext, ctx_to: EffectContext) -> float:
+def span_residual(ctx_from: Context, ctx_to: Context) -> float:
     """Largest distance of a span basis vector of ``ctx_from`` from the span
     of ``ctx_to`` (zero when the first span is contained in the second)."""
     if ctx_from.rank == 0:
@@ -228,7 +364,7 @@ def span_residual(ctx_from: EffectContext, ctx_to: EffectContext) -> float:
     return float(np.max(np.linalg.norm(residual, axis=1)))
 
 
-def intersect(ctx1: EffectContext, ctx2: EffectContext,
+def intersect(ctx1: Context, ctx2: Context,
               tol: float = DEFAULT_TOL) -> EffectContext:
     """Subspace intersection of two contexts on the same space.
 
@@ -244,14 +380,10 @@ def intersect(ctx1: EffectContext, ctx2: EffectContext,
     if n <= DENSE_PROJECTOR_LIMIT:
         m = 2.0 * np.eye(n) - ctx1.projector - ctx2.projector
         vals, vecs = np.linalg.eigh(m)
-        cols = vecs[:, vals <= tol]
-        gens = [ctx1.basis.from_coords(cols[:, k]) for k in range(cols.shape[1])]
-        return EffectContext(gens, dim=ctx1.dim)
+        return EffectContext(ctx1.basis.from_coords(vecs[:, vals <= tol].T), dim=ctx1.dim)
     # principal angles: singular values of V1 V2^T equal to 1 mark the overlap
     v1 = ctx1.span_coords
     v2 = ctx2.span_coords
     u, s, vh = np.linalg.svd(v1 @ v2.T)
     keep = s >= 1.0 - tol
-    inter = u[:, keep].T @ v1
-    gens = [ctx1.basis.from_coords(row) for row in inter]
-    return EffectContext(gens, dim=ctx1.dim)
+    return EffectContext(ctx1.basis.from_coords(u[:, keep].T @ v1), dim=ctx1.dim)

@@ -161,6 +161,16 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.sum(np.conj(a) * b))
 
 
+def worst_of(*deviations: float) -> float:
+    """The largest of the deviations, and NaN if any of them is NaN.
+
+    The built-in ``max`` keeps whichever argument comes first when the other
+    is NaN, so ``max(0.0, nan) == 0.0`` and a failed trial would vanish from
+    a running maximum.
+    """
+    return float(np.max(deviations))
+
+
 def op_norm(a: np.ndarray) -> float:
     """Operator (spectral) norm: the largest singular value."""
     return float(np.linalg.norm(np.asarray(a, dtype=complex), 2))
@@ -216,39 +226,38 @@ class HermitianBasis:
         self._rows, self._cols = iu
 
     def to_coords(self, a: np.ndarray) -> np.ndarray:
+        """Coordinates of a Hermitian matrix, or of each matrix in a stack
+        (shape ``(..., dim, dim)`` gives ``(..., dim**2)``)."""
         a = np.asarray(a, dtype=complex)
-        if a.shape != (self.dim, self.dim):
+        if a.shape[-2:] != (self.dim, self.dim):
             raise ValueError(f"expected {self.dim}x{self.dim} matrix, got {a.shape}")
-        off = a[self._rows, self._cols]
+        off = a[..., self._rows, self._cols]
         return np.concatenate([
-            np.diag(a).real,
+            np.diagonal(a, axis1=-2, axis2=-1).real,
             np.sqrt(2.0) * off.real,
             np.sqrt(2.0) * off.imag,
-        ])
+        ], axis=-1)
 
     def from_coords(self, v: np.ndarray) -> np.ndarray:
+        """The Hermitian matrix of a coordinate vector, or the stack of
+        matrices of a stack of vectors."""
         v = np.asarray(v, dtype=float)
-        if v.shape != (self.size,):
+        if v.shape[-1:] != (self.size,):
             raise ValueError(f"expected coordinate vector of length {self.size}")
         n = self.dim
         n_off = len(self._rows)
-        a = np.zeros((n, n), dtype=complex)
-        a[np.arange(n), np.arange(n)] = v[:n]
-        sym = v[n:n + n_off] / np.sqrt(2.0)
-        anti = v[n + n_off:] / np.sqrt(2.0)
-        a[self._rows, self._cols] = sym + 1j * anti
-        a[self._cols, self._rows] = sym - 1j * anti
+        a = np.zeros(v.shape[:-1] + (n, n), dtype=complex)
+        a[..., np.arange(n), np.arange(n)] = v[..., :n]
+        sym = v[..., n:n + n_off] / np.sqrt(2.0)
+        anti = v[..., n + n_off:] / np.sqrt(2.0)
+        a[..., self._rows, self._cols] = sym + 1j * anti
+        a[..., self._cols, self._rows] = sym - 1j * anti
         return a
 
     @property
     def matrices(self) -> list:
         """The basis as explicit matrices, in coordinate order."""
-        out = []
-        for k in range(self.size):
-            v = np.zeros(self.size)
-            v[k] = 1.0
-            out.append(self.from_coords(v))
-        return out
+        return list(self.from_coords(np.eye(self.size)))
 
 
 def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:

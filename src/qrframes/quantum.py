@@ -22,6 +22,7 @@ from .operators import (
     is_hermitian,
     op_norm,
     pair_trace,
+    worst_of,
 )
 
 
@@ -140,18 +141,25 @@ class UnitaryRep:
 
         ``ops`` is a stack indexed by element, or one operator A, which gives
         its orbit g.A.  Weighted orbit sums sum_g w(g) g.A are
-        ``np.tensordot(w, rep.orbit(a), axes=1)``.
+        ``np.tensordot(w, rep.orbit(a), axes=1)``.  Leading batch axes give
+        one orbit per batch entry: ``ops`` of shape (..., n, d, d) is a batch
+        of stacks, and of shape (..., 1, d, d) a batch of single operators.
         """
         ops = np.asarray(ops, dtype=complex)
         n = self.group.order
-        if ops.shape not in ((self.dim, self.dim), (n, self.dim, self.dim)):
+        square = ops.shape[-2:] == (self.dim, self.dim)
+        if not square or (ops.ndim == 3 and ops.shape[0] != n) or (
+                ops.ndim > 3 and ops.shape[-3] not in (1, n)):
             raise ValueError(f"operand shape {ops.shape} is neither one operator nor "
                              f"{n} operators of rep dim {self.dim}")
         if self.permutations is not None:
             idx = self.permutations if dual else self.permutations[self.group.inverse]
-            if ops.ndim == 2:
-                return ops[idx[:, :, None], idx[:, None, :]]
-            return ops[np.arange(n)[:, None, None], idx[:, :, None], idx[:, None, :]]
+            rows, cols = idx[:, :, None], idx[:, None, :]
+            if ops.ndim == 2 or ops.shape[-3] == 1:
+                return ops.reshape(ops.shape[:-3] + ops.shape[-2:])[..., rows, cols]
+            element = np.arange(n)[:, None, None]
+            # numpy gathers a single stack faster without an Ellipsis index
+            return ops[element, rows, cols] if ops.ndim == 3 else ops[..., element, rows, cols]
         u = self.matrices
         u_dag = np.conj(u).transpose(0, 2, 1)
         return u_dag @ ops @ u if dual else u @ ops @ u_dag
@@ -377,7 +385,7 @@ def covariance_deviation(povm: POVM, rep: UnitaryRep, action=None) -> float:
     for g in rep.group.elements():
         for x in range(povm.size):
             dev = op_norm(rep.act_op(g, povm.effect(x)) - povm.effect(act(g, x)))
-            worst = max(worst, dev)
+            worst = worst_of(worst, dev)
     return worst
 
 
@@ -420,22 +428,37 @@ def classify_frame(rep: UnitaryRep, povm: POVM, tol: float = DEFAULT_TOL) -> Fra
     localizable uses the norm-1 property on singletons only: for positive
     effects E(X) >= E({x}) forces ||E(X)|| >= max_x ||E({x})|| while
     ||E(X)|| <= 1 always, so singleton norms in {0, 1} decide every subset.
+
+    A labelled PVM under a permutation representation is decided on the
+    labels: U(g) E(x) U(g)^dag is the projector onto the indices p_g(i) with
+    labels[i] == x, so covariance is labels[p_g(i)] == g.labels[i] for all g
+    and i, and h is in the isotropy group iff labels[p_h(i)] == labels[i].
+    Such a PVM is sharp and localizable by construction.
     """
-    dev = covariance_deviation(povm, rep)
-    if dev > tol:
-        raise CovarianceError(f"POVM is not covariant (deviation {dev:.3e})")
     group = rep.group
     principal = isinstance(povm.space, GroupSpace)
-    sharp = all(op_norm(e @ e - e) <= tol for e in povm.effects)
-    norms = [op_norm(e) for e in povm.effects]
-    localizable = all(nm <= tol or abs(nm - 1.0) <= tol for nm in norms)
-    iso_members = [
-        h for h in group.elements()
-        if all(op_norm(rep.act_op(h, povm.effect(x)) - povm.effect(x)) <= tol
-               for x in range(povm.size))
-    ]
+    if povm.labels is not None and rep.permutations is not None and rep.dim == povm.dim:
+        moved = povm.labels[rep.permutations]
+        acted = np.array([[povm.act(g, x) for x in range(povm.size)]
+                          for g in group.elements()])
+        if not np.array_equal(moved, acted[:, povm.labels]):
+            dev = covariance_deviation(povm, rep)
+            raise CovarianceError(f"POVM is not covariant (deviation {dev:.3e})")
+        sharp = localizable = True
+        iso_members = np.flatnonzero(np.all(moved == povm.labels, axis=1))
+    else:
+        dev = covariance_deviation(povm, rep)
+        if dev > tol:
+            raise CovarianceError(f"POVM is not covariant (deviation {dev:.3e})")
+        sharp = all(op_norm(e @ e - e) <= tol for e in povm.effects)
+        norms = [op_norm(e) for e in povm.effects]
+        localizable = all(nm <= tol or abs(nm - 1.0) <= tol for nm in norms)
+        iso_members = [
+            h for h in group.elements()
+            if all(op_norm(rep.act_op(h, povm.effect(x)) - povm.effect(x)) <= tol
+                   for x in range(povm.size))
+        ]
     isotropy = Subgroup(group, iso_members)
-    complete = isotropy.is_trivial
     return Frame(
         rep=rep,
         povm=povm,
@@ -443,7 +466,7 @@ def classify_frame(rep: UnitaryRep, povm: POVM, tol: float = DEFAULT_TOL) -> Fra
         sharp=sharp,
         ideal=principal and sharp,
         localizable=localizable,
-        complete=complete,
+        complete=isotropy.is_trivial,
         isotropy=isotropy,
     )
 

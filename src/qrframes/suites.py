@@ -8,6 +8,7 @@ ordered by check name.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
@@ -46,6 +47,7 @@ from .operators import (
     random_density,
     random_hermitian,
     random_pure_state,
+    worst_of,
 )
 from .quantum import (
     born,
@@ -76,9 +78,10 @@ class CheckResult:
     max_deviation: float
     trials: int
     runtime_ms: float
+    error: Optional[str] = None
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "name": self.name,
             "claim": self.claim,
             "pass": bool(self.passed),
@@ -86,6 +89,9 @@ class CheckResult:
             "trials": int(self.trials),
             "runtime_ms": round(float(self.runtime_ms), 3),
         }
+        if self.error is not None:
+            out["error"] = self.error
+        return out
 
 
 def _rng_for(seed: int, name: str) -> np.random.Generator:
@@ -137,7 +143,7 @@ def check_born_equivariance(group, rng, tol, trials):
         for h in group.elements():
             shifted = born(frame.povm, frame.rep.act_state(h, rho))
             expected = np.array([mu[frame.povm.act(h, x)] for x in range(frame.povm.size)])
-            worst = max(worst, float(np.max(np.abs(shifted - expected))))
+            worst = worst_of(worst, float(np.max(np.abs(shifted - expected))))
     return {"max_deviation": worst, "trials": trials}
 
 
@@ -157,7 +163,7 @@ def check_yen_invariance(group, rng, tol, trials):
     for b in HermitianBasis(sys_rep.dim).matrices:
         image = ym.apply(b)
         for h in group.elements():
-            worst = max(worst, op_norm(diag.act_op(h, image) - image))
+            worst = worst_of(worst, op_norm(diag.act_op(h, image) - image))
             count += 1
     return {"max_deviation": worst, "trials": count}
 
@@ -183,7 +189,7 @@ def check_yen_cp(group, rng, tol, trials):
                 ug = np.kron(sys_rep.mat(g), np.eye(k))
                 out += kron(frame.povm.effect(g), ug @ p @ dagger(ug))
             low = float(np.min(np.linalg.eigvalsh((out + dagger(out)) / 2)))
-            worst = max(worst, max(0.0, -low))
+            worst = worst_of(worst, 0.0, -low)
             runs += 1
     return {"max_deviation": worst, "trials": runs}
 
@@ -197,7 +203,7 @@ def check_yen_isometry(group, rng, tol, trials):
     for _ in range(trials):
         mats.append(random_hermitian(rng, sys_rep.dim))
     for a in mats:
-        worst = max(worst, abs(op_norm(ym.apply(a)) - op_norm(a)))
+        worst = worst_of(worst, abs(op_norm(ym.apply(a)) - op_norm(a)))
     return {"max_deviation": worst, "trials": len(mats)}
 
 
@@ -209,7 +215,7 @@ def check_yen_multiplicative(group, rng, tol, trials):
     for _ in range(trials):
         a = random_hermitian(rng, sys_rep.dim)
         b = random_hermitian(rng, sys_rep.dim)
-        worst = max(worst, op_norm(ym.apply(a @ b) - ym.apply(a) @ ym.apply(b)))
+        worst = worst_of(worst, op_norm(ym.apply(a @ b) - ym.apply(a) @ ym.apply(b)))
     return {"max_deviation": worst, "trials": trials}
 
 
@@ -223,7 +229,7 @@ def check_yen_predual_duality(group, rng, tol, trials):
         a = random_hermitian(rng, sys_rep.dim)
         lhs = np.trace(ym.predual(omega) @ a)
         rhs = np.trace(omega @ ym.apply(a))
-        worst = max(worst, abs(lhs - rhs))
+        worst = worst_of(worst, abs(lhs - rhs))
     return {"max_deviation": worst, "trials": trials}
 
 
@@ -272,7 +278,7 @@ def check_exhaustiveness_rank(group, rng, tol, trials):
 
 def check_exhaustiveness_residual(group, rng, tol, trials):
     relative, _, relational = _exhaustiveness_contexts(group)
-    dev = max(span_residual(relative, relational), span_residual(relational, relative))
+    dev = worst_of(span_residual(relative, relational), span_residual(relational, relative))
     return {"max_deviation": dev, "trials": 2 * (relative.rank + relational.rank)}
 
 
@@ -292,7 +298,7 @@ def check_localized_identity(group, rng, tol, trials):
     worst = 0.0
     count = 0
     for b in HermitianBasis(sys_rep.dim).matrices:
-        worst = max(worst, op_norm(conditioned_yen(frame, sys_rep, omega, b) - b))
+        worst = worst_of(worst, op_norm(conditioned_yen(frame, sys_rep, omega, b) - b))
         count += 1
     return {"max_deviation": worst, "trials": count}
 
@@ -304,7 +310,7 @@ def check_invariant_state_twirl(group, rng, tol, trials):
     for _ in range(trials):
         omega = g_twirl_predual(frame.rep, random_density(rng, frame.dim))
         a = random_hermitian(rng, sys_rep.dim)
-        worst = max(worst, op_norm(
+        worst = worst_of(worst, op_norm(
             conditioned_yen(frame, sys_rep, omega, a) - g_twirl(sys_rep, a)
         ))
     return {"max_deviation": worst, "trials": trials}
@@ -318,7 +324,7 @@ def check_distribution_dependence(group, rng, tol, trials):
         omega = random_density(rng, frame.dim)
         dephased = np.diag(np.diag(omega))
         a = random_hermitian(rng, sys_rep.dim)
-        worst = max(worst, op_norm(
+        worst = worst_of(worst, op_norm(
             conditioned_yen(frame, sys_rep, omega, a)
             - conditioned_yen(frame, sys_rep, dephased, a)
         ))
@@ -337,7 +343,7 @@ def check_product_state_symmetry(group, rng, tol, trials):
             rhs = product_relative_state(
                 frame, sys_rep, omega, sys_rep.act_state(group.inv(h), rho)
             )
-            worst = max(worst, op_norm(lhs - rhs))
+            worst = worst_of(worst, op_norm(lhs - rhs))
     return {"max_deviation": worst, "trials": trials * group.order}
 
 
@@ -348,7 +354,7 @@ def check_invariant_system_state(group, rng, tol, trials):
     for _ in range(trials):
         omega = random_density(rng, frame.dim)
         rho = g_twirl_predual(sys_rep, random_density(rng, sys_rep.dim))
-        worst = max(worst, op_norm(product_relative_state(frame, sys_rep, omega, rho) - rho))
+        worst = worst_of(worst, op_norm(product_relative_state(frame, sys_rep, omega, rho) - rho))
     return {"max_deviation": worst, "trials": trials}
 
 
@@ -359,7 +365,7 @@ def check_lift_roundtrip(group, rng, tol, trials):
     worst = 0.0
     for _ in range(trials):
         rel = random_density(rng, sys_rep.dim)
-        worst = max(worst, op_norm(
+        worst = worst_of(worst, op_norm(
             yen_predual(frame, sys_rep, kron(omega, rel)) - rel
         ))
     return {"max_deviation": worst, "trials": trials}
@@ -381,7 +387,7 @@ def check_orientation_delta(group, rng, tol, trials):
         mu = born(orientation, state)
         expected = np.zeros(group.order)
         expected[h] = 1.0
-        worst = max(worst, float(np.max(np.abs(mu - expected))))
+        worst = worst_of(worst, float(np.max(np.abs(mu - expected))))
     return {"max_deviation": worst, "trials": group.order}
 
 
@@ -394,7 +400,7 @@ def check_orientation_swap(group, rng, tol, trials):
     worst = 0.0
     for x in group.elements():
         swapped = permute_factors(b.effect(group.inv(x)), dims, [1, 0])
-        worst = max(worst, float(np.max(np.abs(a.effect(x) - swapped))))
+        worst = worst_of(worst, float(np.max(np.abs(a.effect(x) - swapped))))
     return {"max_deviation": worst, "trials": group.order}
 
 
@@ -413,7 +419,7 @@ def check_orientation_convolution(group, rng, tol, trials):
             sum(p[g] * q[group.mul(g, x)] for g in group.elements())
             for x in group.elements()
         ])
-        worst = max(worst, float(np.max(np.abs(mu - expected))))
+        worst = worst_of(worst, float(np.max(np.abs(mu - expected))))
     return {"max_deviation": worst, "trials": trials}
 
 
@@ -431,13 +437,13 @@ def check_fc_well_defined(group, rng, tol, trials):
         state = random_density(rng, ctx.dim)
         base = frame_change(scenario, 0, 1, state)
         if kernel.shape[0] == 0:
-            worst = max(worst, 0.0)
+            worst = worst_of(worst, 0.0)
             runs += 1
             continue
         row = kernel[int(rng.integers(kernel.shape[0]))]
         bump = 0.25 * ctx.basis.from_coords(row)
         other = frame_change(scenario, 0, 1, state + bump)
-        worst = max(worst, base.class_deviation(other))
+        worst = worst_of(worst, base.class_deviation(other))
         runs += 1
     return {"max_deviation": worst, "trials": runs}
 
@@ -450,7 +456,7 @@ def check_fc_diagram(group, rng, tol, trials):
         left = scenario.yen_predual_total(1, omega)
         rel = scenario.yen_predual_total(0, omega)
         moved = frame_change(scenario, 0, 1, rel)
-        worst = max(worst, moved.class_deviation(left))
+        worst = worst_of(worst, moved.class_deviation(left))
     return {"max_deviation": worst, "trials": trials}
 
 
@@ -462,7 +468,7 @@ def check_fc_inverse(group, rng, tol, trials):
         state = random_density(rng, ctx.dim)
         back = frame_change(scenario, 1, 0, frame_change(scenario, 0, 1, state))
         delta = back.matrix - state
-        worst = max(worst, max(abs(np.trace(delta @ f)) for f in ctx.generators))
+        worst = worst_of(worst, float(np.max(np.abs(ctx.pairings(delta)))))
     return {"max_deviation": worst, "trials": trials}
 
 
@@ -477,7 +483,7 @@ def check_fc_affine(group, rng, tol, trials):
         mix = frame_change(scenario, 0, 1, lam * x + (1 - lam) * y)
         parts = (lam * frame_change(scenario, 0, 1, x).matrix
                  + (1 - lam) * frame_change(scenario, 0, 1, y).matrix)
-        worst = max(worst, mix.class_deviation(parts))
+        worst = worst_of(worst, mix.class_deviation(parts))
     return {"max_deviation": worst, "trials": trials}
 
 
@@ -509,7 +515,7 @@ def check_fc_ket_transform(group, rng, tol, trials):
         else:
             flat = expected_idx[0]
         expected[flat, flat] = 1.0
-        worst = max(worst, float(np.max(np.abs(moved.matrix - expected))))
+        worst = worst_of(worst, float(np.max(np.abs(moved.matrix - expected))))
         runs += 1
     return {"max_deviation": worst, "trials": runs}
 
@@ -523,7 +529,7 @@ def check_fc_composition(group, rng, tol, trials):
     runs = 0
     for _ in range(max(3, trials // 4)):
         state = random_density(rng, int(np.prod(scenario.complement_dims(0))))
-        worst = max(worst, compose_check(scenario, state)["max_deviation"])
+        worst = worst_of(worst, compose_check(scenario, state)["max_deviation"])
         runs += 1
     return {"max_deviation": worst, "trials": runs}
 
@@ -540,7 +546,7 @@ def check_agreement_states(group, rng, tol, trials):
     worst = 0.0
     for t in range(trials):
         state = random_pure_state(rng, dim) if t % 2 == 0 else random_density(rng, dim)
-        worst = max(worst, operational_agreement(scenario, state)["max_deviation"])
+        worst = worst_of(worst, operational_agreement(scenario, state)["max_deviation"])
     return {"max_deviation": worst, "trials": trials}
 
 
@@ -563,7 +569,7 @@ def check_agreement_kets(group, rng, tol, trials):
             state = kron(ket, sys_ket)
         moved = frame_change(scenario, 0, 1, state)
         coherent = u @ state @ dagger(u)
-        worst = max(worst, float(np.max(np.abs(moved.matrix - coherent))))
+        worst = worst_of(worst, float(np.max(np.abs(moved.matrix - coherent))))
         runs += 1
     return {"max_deviation": worst, "trials": runs}
 
@@ -595,7 +601,7 @@ def check_agreement_lueders(group, rng, tol, trials):
         lueders += p @ coherent @ p
     class_dev = moved.class_deviation(coherent)
     matrix_dev = float(np.max(np.abs(moved.matrix - lueders)))
-    return {"max_deviation": max(class_dev, matrix_dev), "trials": 1}
+    return {"max_deviation": worst_of(class_dev, matrix_dev), "trials": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +644,7 @@ def check_reconstruction_product_form(group, rng, tol, trials):
                                            orientation=orientation)
         rel2 = yen_predual(f1, f2.rep, omega)
         product = yen_predual(f2, sys_rep, kron(rel2, rho))
-        worst = max(worst, op_norm(direct - product))
+        worst = worst_of(worst, op_norm(direct - product))
     return {"max_deviation": worst, "trials": trials}
 
 
@@ -654,7 +660,7 @@ def check_reconstruction_localized(group, rng, tol, trials):
                      f2.rep.act_state(group.inv(h), localizing_state(f2, group.identity)))
         out = triangular_reconstruction(f1, f2, rho, sys_rep, omega,
                                         orientation=orientation)
-        worst = max(worst, op_norm(out - sys_rep.act_state(h, rho)))
+        worst = worst_of(worst, op_norm(out - sys_rep.act_state(h, rho)))
     return {"max_deviation": worst, "trials": group.order}
 
 
@@ -669,7 +675,7 @@ def check_reconstruction_invariant(group, rng, tol, trials):
         omega = random_density(rng, f1.dim * f2.dim)
         out = triangular_reconstruction(f1, f2, rho, sys_rep, omega,
                                         orientation=orientation)
-        worst = max(worst, op_norm(out - rho))
+        worst = worst_of(worst, op_norm(out - rho))
     return {"max_deviation": worst, "trials": trials}
 
 
@@ -839,7 +845,9 @@ def run_checks(group: FiniteGroup, suites: Sequence[str] = ("all",), tol: float 
 
     Deterministic for a fixed (group, suites, tol, seed, trials) selection:
     every check derives its own generator from the seed and its name, so the
-    parallel schedule cannot change any number in the report.
+    parallel schedule cannot change any number in the report.  A check that
+    raises, or whose deviation is not finite, fails; a raising check's record
+    carries the exception under ``error`` and the other checks still run.
     """
     names = available_checks(group, select_checks(suites))
     if workers is None:
@@ -853,15 +861,18 @@ def run_checks(group: FiniteGroup, suites: Sequence[str] = ("all",), tol: float 
         rng = _rng_for(seed, name)
         token = _RUN_MEMO.set(memo)
         start = time.perf_counter()
+        error = None
         try:
             out = fn(group, rng, tol, trials)
+            dev, count = float(out["max_deviation"]), int(out["trials"])
+        except Exception as exc:  # a check that raises fails alone
+            error = f"{type(exc).__name__}: {exc}"
+            dev, count = math.nan, 0
         finally:
             _RUN_MEMO.reset(token)
         elapsed = (time.perf_counter() - start) * 1000.0
-        dev = float(out["max_deviation"])
-        return CheckResult(name=name, claim=claim, passed=dev <= tol,
-                           max_deviation=dev, trials=int(out["trials"]),
-                           runtime_ms=elapsed)
+        return CheckResult(name=name, claim=claim, passed=math.isfinite(dev) and dev <= tol,
+                           max_deviation=dev, trials=count, runtime_ms=elapsed, error=error)
 
     if workers > 1 and len(names) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -192,3 +192,20 @@ def test_worker_count_env_override(tmp_path, monkeypatch):
         docs.append(doc)
     # worker count must not change any reported number
     assert json.dumps(docs[0], sort_keys=True) == json.dumps(docs[1], sort_keys=True)
+
+
+def test_verify_raising_check_exits_one(tmp_path, monkeypatch, capsys):
+    from qrframes import suites
+
+    def broken(*args):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    claim, _ = suites.CHECKS["yen.unital"]
+    monkeypatch.setitem(suites.CHECKS, "yen.unital", (claim, broken))
+    out = tmp_path / "report.json"
+    code = run(["verify", "--group", "builtin:z2", "--suite", "yen-invariance",
+                "--out", str(out)])
+    assert code == 1
+    report = json.loads(out.read_text())
+    assert report["summary"]["failed"] == 1
+    assert "FAIL yen.unital: LinAlgError: SVD did not converge" in capsys.readouterr().err

@@ -14,6 +14,7 @@ import pytest
 
 from qrframes import (
     POVM,
+    CovarianceError,
     MultiFrameScenario,
     YenMap,
     born,
@@ -248,3 +249,47 @@ def test_povm_effects_are_read_only(s3):
     with pytest.raises(ValueError):
         dense.effect(0)[:] = 0.0
     assert frame.localizable and frame.sharp
+
+
+@pytest.mark.parametrize("name", GROUPS + ("s4",))
+@pytest.mark.parametrize("kind", FRAME_KINDS + ("coset",))
+def test_classify_frame_matches_dense(name, kind):
+    group = builtin_group(name)
+    if kind == "coset":
+        cosets = _cosets(group)
+        frame = classify_frame(coset_permutation_rep(cosets), canonical_coset_pvm(cosets))
+    else:
+        frame = canonical_frame(group, kind)
+    dense = _dense_frame(frame)
+    for flag in ("principal", "sharp", "ideal", "localizable", "complete"):
+        assert getattr(frame, flag) == getattr(dense, flag), flag
+    assert frame.isotropy.members == dense.isotropy.members
+
+
+@pytest.mark.parametrize("name", ("z4", "s3"))
+def test_classify_frame_rejects_non_covariant_labels(name):
+    # the left-regular pointer PVM is not covariant for the left-right action
+    group = builtin_group(name)
+    rep = left_right_rep(group)
+    pvm = canonical_frame(group).povm
+    for r, p in ((rep, pvm), (_dense_rep(rep), _dense_povm(pvm))):
+        with pytest.raises(CovarianceError, match="deviation 1.000e"):
+            classify_frame(r, p)
+
+
+@pytest.mark.parametrize("name", GROUPS)
+@pytest.mark.parametrize("kind", SYSTEMS)
+def test_batched_orbit_matches_single_orbits(name, kind, rng):
+    rep = _system(builtin_group(name), kind)
+    n = rep.group.order
+    ops = np.array([random_hermitian(rng, rep.dim) for _ in range(3)])
+    stacks = np.array([[random_hermitian(rng, rep.dim) for _ in range(n)] for _ in range(2)])
+    for r in (rep, _dense_rep(rep)):
+        for dual in (False, True):
+            _close(r.orbit(ops[:, None], dual=dual),
+                   [r.orbit(a, dual=dual) for a in ops])
+            _close(r.orbit(stacks, dual=dual),
+                   [r.orbit(s, dual=dual) for s in stacks])
+    if n > 2:
+        with pytest.raises(ValueError):
+            rep.orbit(stacks[:, :2])

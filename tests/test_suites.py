@@ -1,6 +1,11 @@
 import gc
+import math
+import sys
 
-from qrframes import cyclic_group
+import numpy as np
+import pytest
+
+from qrframes import cyclic_group, suites
 from qrframes.suites import run_checks
 
 
@@ -18,3 +23,54 @@ def test_exhaustiveness_contexts_follow_the_group():
         gc.collect()
     assert len(seen[2]) == 1 and len(seen[3]) == 1
     assert seen[2] != seen[3]
+
+
+def test_nan_deviation_fails_its_check(monkeypatch):
+    # one NaN norm inside yen.isometry must fail that check, not vanish in
+    # a running maximum
+    calls = {"nan": 0}
+    real_op_norm = suites.op_norm
+
+    def op_norm(a):
+        if sys._getframe(1).f_code.co_name == "check_yen_isometry" and not calls["nan"]:
+            calls["nan"] += 1
+            return float("nan")
+        return real_op_norm(a)
+
+    monkeypatch.setattr(suites, "op_norm", op_norm)
+    report = run_checks(cyclic_group(2), ("yen-invariance",), workers=1)
+    records = {c["name"]: c for c in report["checks"]}
+    assert calls["nan"] == 1
+    assert math.isnan(records["yen.isometry"]["max_deviation"])
+    assert records["yen.isometry"]["pass"] is False
+    assert report["summary"]["failed"] == 1
+
+
+def test_non_finite_deviation_fails(monkeypatch):
+    claim, _ = suites.CHECKS["yen.unital"]
+    monkeypatch.setitem(suites.CHECKS, "yen.unital",
+                        (claim, lambda *args: {"max_deviation": float("inf"), "trials": 1}))
+    report = run_checks(cyclic_group(2), ("yen-invariance",), workers=1)
+    record = next(c for c in report["checks"] if c["name"] == "yen.unital")
+    assert record["pass"] is False and "error" not in record
+
+
+def _raise_linalg(*args):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_raising_check_fails_alone(monkeypatch, workers):
+    claim, _ = suites.CHECKS["yen.unital"]
+    monkeypatch.setitem(suites.CHECKS, "yen.unital", (claim, _raise_linalg))
+    report = run_checks(cyclic_group(2), ("yen-invariance",), workers=workers)
+    records = {c["name"]: c for c in report["checks"]}
+    broken = records.pop("yen.unital")
+    assert broken["pass"] is False
+    assert math.isnan(broken["max_deviation"])
+    assert broken["error"] == "LinAlgError: SVD did not converge"
+    assert report["summary"] == {"total": 6, "passed": 5, "failed": 1}
+    # every other record keeps the exact keys of a passing report
+    for rec in records.values():
+        assert rec["pass"] is True
+        assert set(rec) == {"name", "claim", "pass", "max_deviation", "trials", "runtime_ms"}
