@@ -11,12 +11,9 @@ from .groups import (
     FiniteGroup,
     GroupError,
     Subgroup,
-    coset_space,
     cyclic_group,
     dihedral_group,
-    from_cayley_table,
     quaternion_group,
-    subgroup,
     symmetric_group,
 )
 from .operators import (

@@ -8,6 +8,8 @@ Subcommands:
   reconstruct   triangular reconstruction of a relative state
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 invalid input.
+A numerical failure (``np.linalg.LinAlgError``) is not invalid input and
+propagates.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ import json
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
+
+import numpy as np
 
 from . import io as qio
 from .builtins import BUILTIN_NAMES
@@ -143,10 +147,7 @@ def cmd_frame_change(args) -> int:
         raise InputError(str(exc)) from exc
     src = args.src - 1 if args.one_based else args.src
     dst = args.dst - 1 if args.one_based else args.dst
-    try:
-        moved = frame_change(scenario, src, dst, state)
-    except ValueError as exc:
-        raise InputError(f"frame-change: {exc}") from exc
+    moved = frame_change(scenario, src, dst, state)
     doc = {"result": qio.operator_to_json(moved.matrix),
            "context": moved.context.report()}
     qio.dump_json(doc, args.out) if args.out else print(json.dumps(doc, indent=2))
@@ -166,10 +167,7 @@ def cmd_reconstruct(args) -> int:
         sys_rep = _system_rep(frame1.group, args.system)
     except qio.FormatError as exc:
         raise InputError(str(exc)) from exc
-    try:
-        result = triangular_reconstruction(frame1, frame2, rho, sys_rep, omega)
-    except ValueError as exc:
-        raise InputError(f"reconstruct: {exc}") from exc
+    result = triangular_reconstruction(frame1, frame2, rho, sys_rep, omega)
     doc = {"result": qio.operator_to_json(result)}
     qio.dump_json(doc, args.out) if args.out else print(json.dumps(doc, indent=2))
     return 0
@@ -236,10 +234,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except np.linalg.LinAlgError:
+        raise  # a numerical failure is not bad input
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

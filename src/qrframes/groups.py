@@ -204,25 +204,6 @@ class CosetSpace:
         return f"CosetSpace({self.parent.name}/{self.subgroup.members}, {self.n_cosets} cosets)"
 
 
-def subgroup(group: FiniteGroup, members: Sequence[int]) -> Subgroup:
-    """Validated subgroup of ``group`` generated literally by ``members``."""
-    return Subgroup(group, members)
-
-
-def coset_space(group: FiniteGroup, sub: Subgroup) -> CosetSpace:
-    """Left coset space G/H with its transitive G-action."""
-    return CosetSpace(group, sub)
-
-
-def from_cayley_table(
-    table: Sequence[Sequence[int]],
-    labels: Optional[Sequence[str]] = None,
-    name: Optional[str] = None,
-) -> FiniteGroup:
-    """Build and validate a group from an explicit table; rejects non-groups."""
-    return FiniteGroup(table, labels=labels, name=name)
-
-
 def cyclic_group(n: int) -> FiniteGroup:
     """Z_n with addition mod n."""
     if n < 1:

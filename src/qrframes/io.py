@@ -25,7 +25,7 @@ import numpy as np
 
 from .builtins import builtin_group
 from .framechange import MultiFrameScenario
-from .groups import FiniteGroup, GroupError, coset_space, from_cayley_table, subgroup
+from .groups import CosetSpace, FiniteGroup, GroupError, Subgroup
 from .measurement import MeasurementScheme
 from .operators import as_operator
 from .quantum import (
@@ -80,7 +80,7 @@ def group_from_json(doc: dict) -> FiniteGroup:
     if "order" in doc:
         _require(int(doc["order"]) == len(rows), "declared order does not match the table")
     try:
-        return from_cayley_table(rows, labels=doc.get("labels"), name=doc.get("name"))
+        return FiniteGroup(rows, labels=doc.get("labels"), name=doc.get("name"))
     except GroupError as exc:
         raise FormatError(str(exc)) from exc
 
@@ -156,8 +156,8 @@ def povm_from_json(group: FiniteGroup, rep: UnitaryRep, doc) -> POVM:
     else:
         _require(isinstance(space_doc, dict) and "coset_subgroup" in space_doc,
                  "povm space must be 'group' or {'coset_subgroup': [...]}")
-        sub = subgroup(group, space_doc["coset_subgroup"])
-        space = CosetSampleSpace(coset_space(group, sub))
+        sub = Subgroup(group, space_doc["coset_subgroup"])
+        space = CosetSampleSpace(CosetSpace(group, sub))
     try:
         return POVM(space, effects)
     except ValueError as exc:

@@ -24,7 +24,6 @@ from .operators import (
 from .quantum import Frame, UnitaryRep
 
 RANK_CUTOFF = 1e-9          # relative singular-value cutoff for rank decisions
-DENSE_PROJECTOR_LIMIT = 2500  # largest Hermitian-space dim for dense projectors
 ORBIT_BATCH = 1 << 21       # complex entries per batched orbit in invariant_subspace
 
 
@@ -368,22 +367,15 @@ def intersect(ctx1: Context, ctx2: Context,
               tol: float = DEFAULT_TOL) -> EffectContext:
     """Subspace intersection of two contexts on the same space.
 
-    Uses the nullspace of (I - P1) + (I - P2) on Hermitian coordinates; for
-    spaces too large to hold dense projectors, falls back to the principal
-    angle method (SVD of V1 V2^T).
+    Principal angles (Bjorck & Golub 1973): the singular values of V1 V2^T
+    are the cosines between the two spans, and the left singular vectors with
+    cosine >= 1 - tol, mapped back through V1, span the overlap.
     """
     if ctx1.dim != ctx2.dim:
         raise ValueError("contexts live on different dimensions")
-    n = ctx1.basis.size
     if ctx1.rank == 0 or ctx2.rank == 0:
         return EffectContext([], dim=ctx1.dim)
-    if n <= DENSE_PROJECTOR_LIMIT:
-        m = 2.0 * np.eye(n) - ctx1.projector - ctx2.projector
-        vals, vecs = np.linalg.eigh(m)
-        return EffectContext(ctx1.basis.from_coords(vecs[:, vals <= tol].T), dim=ctx1.dim)
-    # principal angles: singular values of V1 V2^T equal to 1 mark the overlap
     v1 = ctx1.span_coords
-    v2 = ctx2.span_coords
-    u, s, vh = np.linalg.svd(v1 @ v2.T)
+    u, s, _ = np.linalg.svd(v1 @ ctx2.span_coords.T, full_matrices=False)
     keep = s >= 1.0 - tol
     return EffectContext(ctx1.basis.from_coords(u[:, keep].T @ v1), dim=ctx1.dim)

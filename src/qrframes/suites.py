@@ -2,20 +2,18 @@
 named checks that report their worst deviation.
 
 Each check is a pure function of (group, rng, tol, trials); the runner
-executes a selection in parallel workers and assembles a deterministic report
-ordered by check name.
+executes a selection one check after another and assembles a deterministic
+report ordered by check name.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -113,14 +111,8 @@ def _pair_scenario(group: FiniteGroup, kind: str = "left_regular",
 # covariance
 # ---------------------------------------------------------------------------
 
-def check_cov_left_regular(group, rng, tol, trials):
-    frame = canonical_frame(group, "left_regular")
-    return {"max_deviation": covariance_deviation(frame.povm, frame.rep),
-            "trials": group.order ** 2}
-
-
-def check_cov_left_right(group, rng, tol, trials):
-    frame = canonical_frame(group, "left_right")
+def check_covariance(group, rng, tol, trials, kind):
+    frame = canonical_frame(group, kind)
     return {"max_deviation": covariance_deviation(frame.povm, frame.rep),
             "trials": group.order ** 2}
 
@@ -237,23 +229,9 @@ def check_yen_predual_duality(group, rng, tol, trials):
 # exhaustiveness of relativized effects
 # ---------------------------------------------------------------------------
 
-class _RunMemo:
-    """Values shared by the checks of one ``run_checks`` call, built once."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._values: dict = {}
-
-    def get(self, key, build):
-        with self._lock:
-            if key not in self._values:
-                self._values[key] = build()
-            return self._values[key]
-
-
-# The memo of the run_checks call executing the current check; a check called
-# on its own builds what it needs.
-_RUN_MEMO: ContextVar[Optional[_RunMemo]] = ContextVar("qrframes_run_memo", default=None)
+# Values shared by the checks of the current run_checks call, built once; a
+# check called on its own builds what it needs.
+_RUN_MEMO: ContextVar[Optional[dict]] = ContextVar("qrframes_run_memo", default=None)
 
 
 def _exhaustiveness_contexts(group, sys_dim=2):
@@ -268,7 +246,12 @@ def _exhaustiveness_contexts(group, sys_dim=2):
         return relative, framed, intersect(framed, invariant)
 
     memo = _RUN_MEMO.get()
-    return build() if memo is None else memo.get(("exhaustiveness", sys_dim), build)
+    if memo is None:
+        return build()
+    key = ("exhaustiveness", sys_dim)
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
 
 
 def check_exhaustiveness_rank(group, rng, tol, trials):
@@ -686,10 +669,10 @@ def check_reconstruction_invariant(group, rng, tol, trials):
 CHECKS: Dict[str, tuple] = {
     "covariance.left_regular": (
         "canonical sharp observable is covariant for the left-regular action",
-        check_cov_left_regular),
+        partial(check_covariance, kind="left_regular")),
     "covariance.left_right": (
         "inverse-point sharp observable is covariant for the left-right action",
-        check_cov_left_right),
+        partial(check_covariance, kind="left_right")),
     "covariance.classification": (
         "canonical frame is ideal, localizable and complete; uniform frame is not localizable",
         check_classification),
@@ -839,46 +822,36 @@ def select_checks(suites: Sequence[str]) -> List[str]:
 
 
 def run_checks(group: FiniteGroup, suites: Sequence[str] = ("all",), tol: float = 1e-9,
-               seed: int = 0, trials: int = 20,
-               workers: Optional[int] = None) -> dict:
-    """Run the selected suites against one group and assemble a report.
+               seed: int = 0, trials: int = 20) -> dict:
+    """Run the selected suites against one group, in order, and assemble a report.
 
     Deterministic for a fixed (group, suites, tol, seed, trials) selection:
-    every check derives its own generator from the seed and its name, so the
-    parallel schedule cannot change any number in the report.  A check that
+    every check derives its own generator from the seed and its name, so no
+    check's numbers depend on which checks ran before it.  A check that
     raises, or whose deviation is not finite, fails; a raising check's record
     carries the exception under ``error`` and the other checks still run.
     """
-    names = available_checks(group, select_checks(suites))
-    if workers is None:
-        env = os.environ.get("QRF_THREADS", "").strip()
-        workers = int(env) if env.isdigit() and int(env) > 0 else min(4, os.cpu_count() or 1)
-
-    memo = _RunMemo()
-
-    def run_one(name: str) -> CheckResult:
-        claim, fn = CHECKS[name]
-        rng = _rng_for(seed, name)
-        token = _RUN_MEMO.set(memo)
-        start = time.perf_counter()
-        error = None
-        try:
-            out = fn(group, rng, tol, trials)
-            dev, count = float(out["max_deviation"]), int(out["trials"])
-        except Exception as exc:  # a check that raises fails alone
-            error = f"{type(exc).__name__}: {exc}"
-            dev, count = math.nan, 0
-        finally:
-            _RUN_MEMO.reset(token)
-        elapsed = (time.perf_counter() - start) * 1000.0
-        return CheckResult(name=name, claim=claim, passed=math.isfinite(dev) and dev <= tol,
-                           max_deviation=dev, trials=count, runtime_ms=elapsed, error=error)
-
-    if workers > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, names))
-    else:
-        results = [run_one(n) for n in names]
+    results = []
+    token = _RUN_MEMO.set({})
+    try:
+        for name in available_checks(group, select_checks(suites)):
+            claim, fn = CHECKS[name]
+            rng = _rng_for(seed, name)
+            start = time.perf_counter()
+            error = None
+            try:
+                out = fn(group, rng, tol, trials)
+                dev, count = float(out["max_deviation"]), int(out["trials"])
+            except Exception as exc:  # a check that raises fails alone
+                error = f"{type(exc).__name__}: {exc}"
+                dev, count = math.nan, 0
+            elapsed = (time.perf_counter() - start) * 1000.0
+            results.append(CheckResult(name=name, claim=claim,
+                                       passed=math.isfinite(dev) and dev <= tol,
+                                       max_deviation=dev, trials=count,
+                                       runtime_ms=elapsed, error=error))
+    finally:
+        _RUN_MEMO.reset(token)
     results.sort(key=lambda r: r.name)
     passed = sum(1 for r in results if r.passed)
     return {

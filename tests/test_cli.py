@@ -175,12 +175,10 @@ def test_missing_operand_file(tmp_path):
                 "--operator", str(tmp_path / "absent.json")]) == 2
 
 
-def test_worker_count_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("QRF_THREADS", "1")
+def test_verify_reports_byte_stable(tmp_path):
     out = tmp_path / "report.json"
     assert run(["verify", "--group", "builtin:z2", "--suite", "covariance",
                 "--out", str(out)]) == 0
-    monkeypatch.setenv("QRF_THREADS", "3")
     out2 = tmp_path / "report2.json"
     assert run(["verify", "--group", "builtin:z2", "--suite", "covariance",
                 "--out", str(out2)]) == 0
@@ -190,7 +188,7 @@ def test_worker_count_env_override(tmp_path, monkeypatch):
         for c in doc["checks"]:
             c.pop("runtime_ms")
         docs.append(doc)
-    # worker count must not change any reported number
+    # a second run must not change any reported number
     assert json.dumps(docs[0], sort_keys=True) == json.dumps(docs[1], sort_keys=True)
 
 
@@ -209,3 +207,34 @@ def test_verify_raising_check_exits_one(tmp_path, monkeypatch, capsys):
     report = json.loads(out.read_text())
     assert report["summary"]["failed"] == 1
     assert "FAIL yen.unital: LinAlgError: SVD did not converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ("yen", "frame-change", "reconstruct"))
+def test_numerical_failure_is_not_exit_two(tmp_path, monkeypatch, command):
+    # LinAlgError subclasses ValueError, but a numerical failure is not bad
+    # input: it must propagate instead of becoming exit code 2
+    from qrframes import framechange, relativize
+
+    def broken(*args):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(relativize.YenMap, "apply", broken)
+    monkeypatch.setattr(framechange, "frame_change", broken)
+    monkeypatch.setattr(framechange, "triangular_reconstruction", broken)
+    frame_doc = {"group": {"builtin": "z2"}, "rep": "left_regular", "povm": "canonical"}
+    frame_path = tmp_path / "frame.json"
+    dump_json(frame_doc, frame_path)
+    sc_path = tmp_path / "scenario.json"
+    dump_json({"group": {"builtin": "z2"}, "frames": [frame_doc, frame_doc]}, sc_path)
+    st_path = tmp_path / "state.json"
+    dump_json(operator_to_json(np.eye(2) / 2), st_path)
+    joint_path = tmp_path / "joint.json"
+    dump_json(operator_to_json(np.eye(4) / 4), joint_path)
+    args = {
+        "yen": ["--frame", str(frame_path), "--operator", str(st_path)],
+        "frame-change": ["--scenario", str(sc_path), "--state", str(st_path)],
+        "reconstruct": ["--frame1", str(frame_path), "--frame2", str(frame_path),
+                        "--state", str(st_path), "--joint", str(joint_path)],
+    }[command]
+    with pytest.raises(np.linalg.LinAlgError):
+        run([command, *args])

@@ -3,13 +3,13 @@ import itertools
 import pytest
 
 from qrframes import (
+    CosetSpace,
+    FiniteGroup,
     GroupError,
-    coset_space,
+    Subgroup,
     cyclic_group,
     dihedral_group,
-    from_cayley_table,
     quaternion_group,
-    subgroup,
     symmetric_group,
 )
 
@@ -58,7 +58,7 @@ def test_dihedral_4_order_and_commutativity():
 
 def test_rejects_non_latin_table():
     with pytest.raises(GroupError, match="cayley row 1 not a permutation"):
-        from_cayley_table([[0, 1], [1, 1]])
+        FiniteGroup([[0, 1], [1, 1]])
 
 
 def test_rejects_non_associative_table():
@@ -71,7 +71,7 @@ def test_rejects_non_associative_table():
         [4, 3, 1, 2, 0],
     ]
     with pytest.raises(GroupError, match="associativity fails"):
-        from_cayley_table(table)
+        FiniteGroup(table)
 
 
 def test_rejects_out_of_range_indices():
@@ -106,17 +106,17 @@ def test_quaternion_structure():
 
 
 def test_subgroup_validation(z4):
-    h = subgroup(z4, [0, 2])
+    h = Subgroup(z4, [0, 2])
     assert h.members == (0, 2)
     with pytest.raises(GroupError, match="identity"):
-        subgroup(z4, [1, 3])
+        Subgroup(z4, [1, 3])
     with pytest.raises(GroupError, match="closed"):
-        subgroup(z4, [0, 1])
+        Subgroup(z4, [0, 1])
 
 
 def test_coset_space_z4_brute_force(z4):
-    h = subgroup(z4, [0, 2])
-    cs = coset_space(z4, h)
+    h = Subgroup(z4, [0, 2])
+    cs = CosetSpace(z4, h)
     assert cs.n_cosets == 2
     # brute-force oracle: left cosets as frozensets
     cosets = {frozenset(z4.mul(g, m) for m in h.members) for g in z4.elements()}
@@ -127,11 +127,11 @@ def test_coset_space_z4_brute_force(z4):
 
 
 def test_coset_space_degenerate_cases(s3):
-    whole = coset_space(s3, subgroup(s3, list(s3.elements())))
+    whole = CosetSpace(s3, Subgroup(s3, list(s3.elements())))
     assert whole.n_cosets == 1
     assert all(whole.act(g, 0) == 0 for g in s3.elements())
 
-    trivial = coset_space(s3, subgroup(s3, [s3.identity]))
+    trivial = CosetSpace(s3, Subgroup(s3, [s3.identity]))
     assert trivial.n_cosets == s3.order
     # principal case: the coset action is left multiplication
     for g in s3.elements():
@@ -140,8 +140,8 @@ def test_coset_space_degenerate_cases(s3):
 
 
 def test_coset_action_axioms(s3):
-    h = subgroup(s3, [0, s3.permutations.index((1, 0, 2))])
-    cs = coset_space(s3, h)
+    h = Subgroup(s3, [0, s3.permutations.index((1, 0, 2))])
+    cs = CosetSpace(s3, h)
     assert cs.n_cosets == 3
     e = s3.identity
     for c in range(cs.n_cosets):

@@ -125,11 +125,11 @@ def test_scheme_roundtrip(z3=cyclic_group(3)):
 
 
 def test_coset_frame_roundtrip():
-    from qrframes.groups import coset_space, cyclic_group as cg, subgroup
+    from qrframes.groups import CosetSpace, Subgroup, cyclic_group as cg
     from qrframes.quantum import canonical_coset_pvm, classify_frame, coset_permutation_rep
 
     z4 = cg(4)
-    cs = coset_space(z4, subgroup(z4, [0, 2]))
+    cs = CosetSpace(z4, Subgroup(z4, [0, 2]))
     frame = classify_frame(coset_permutation_rep(cs), canonical_coset_pvm(cs))
     doc = frame_to_json(frame)
     assert doc["povm"]["space"] == {"coset_subgroup": [0, 2]}

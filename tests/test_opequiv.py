@@ -16,6 +16,7 @@ from qrframes import (
     op_norm,
     trivial_rep,
 )
+from qrframes.builtins import builtin_group, standard_system_rep
 from qrframes.opequiv import OperationalState, span_residual
 from qrframes.operators import HermitianBasis, hs_inner, random_density, random_hermitian
 
@@ -215,6 +216,42 @@ def test_intersect_orthogonal_parts():
     assert intersect(ctx1, ctx2).rank == 0
     both = EffectContext([e00, e11])
     assert intersect(ctx1, both).rank == 1
+
+
+def test_intersect_larger_rank_first():
+    # the full SVD of V1 V2^T has r1 left vectors but min(r1, r2) cosines, so
+    # only the thin SVD pairs them when the first rank is the larger one
+    basis = HermitianBasis(51)
+    three = EffectContext(basis.from_coords(np.eye(3, basis.size)))
+    two = EffectContext(basis.from_coords(np.eye(2, basis.size)))
+    for a, b in ((three, two), (two, three)):
+        inter = intersect(a, b)
+        assert inter.rank == 2
+        assert span_residual(inter, two) <= 1e-12
+        assert span_residual(two, inter) <= 1e-12
+
+
+def _dense_intersection(ctx1, ctx2, tol=1e-9):
+    """Nullspace of 2I - P1 - P2 on Hermitian coordinates, as rows."""
+    m = 2.0 * np.eye(ctx1.basis.size) - ctx1.projector - ctx2.projector
+    vals, vecs = np.linalg.eigh(m)
+    return vecs[:, vals <= tol].T
+
+
+@pytest.mark.parametrize("name", ("z2", "z3", "z4", "s3", "d5"))
+def test_intersect_matches_dense_oracle(name):
+    group = builtin_group(name)
+    frame = canonical_frame(group)
+    framed = framed_subspace(frame, 2)
+    invariant = invariant_subspace(frame.rep.tensor(standard_system_rep(group, 2)))
+    oracle = EffectContext(framed.basis.from_coords(_dense_intersection(framed, invariant)),
+                           dim=framed.dim)
+    assert oracle.rank > 0
+    for a, b in ((framed, invariant), (invariant, framed)):
+        inter = intersect(a, b)
+        assert inter.rank == oracle.rank
+        assert span_residual(inter, oracle) <= 1e-12
+        assert span_residual(oracle, inter) <= 1e-12
 
 
 def test_operational_state_class_logic(rng):

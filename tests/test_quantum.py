@@ -21,7 +21,7 @@ from qrframes import (
     trivial_rep,
     uniform_povm,
 )
-from qrframes.groups import coset_space, subgroup
+from qrframes.groups import CosetSpace, Subgroup
 from qrframes.operators import random_density, random_hermitian
 from qrframes.quantum import GroupSpace, canonical_coset_pvm, coset_permutation_rep
 
@@ -244,7 +244,7 @@ def test_born_rejects_dim_mismatch(z2, z3):
 
 
 def test_coset_pvm_is_covariant_frame(z4):
-    cs = coset_space(z4, subgroup(z4, [0, 2]))
+    cs = CosetSpace(z4, Subgroup(z4, [0, 2]))
     rep = coset_permutation_rep(cs)
     pvm = canonical_coset_pvm(cs)
     assert is_covariant(pvm, rep)

@@ -22,13 +22,12 @@ from qrframes import (
     relational_span_report,
     relative_orientation,
     restrict,
-    subgroup,
     uniform_povm,
     yen,
     yen_homogeneous,
     yen_predual,
 )
-from qrframes.groups import coset_space
+from qrframes.groups import CosetSpace, Subgroup
 from qrframes.opequiv import average_over
 from qrframes.operators import dagger, permute_factors, random_density, random_hermitian
 from qrframes.quantum import PointSpace, canonical_coset_pvm, coset_permutation_rep
@@ -109,7 +108,7 @@ def test_yen_multiplicative_for_sharp(z4, rng):
 
 
 def test_yen_rejects_non_principal(z4):
-    cs = coset_space(z4, subgroup(z4, [0, 2]))
+    cs = CosetSpace(z4, Subgroup(z4, [0, 2]))
     frame = classify_frame(coset_permutation_rep(cs), canonical_coset_pvm(cs))
     with pytest.raises(UnsupportedFrameError, match="principal"):
         yen(frame, left_regular_rep(z4), np.eye(4))
@@ -314,7 +313,7 @@ def test_product_relative_state_invariant_omega(s3, rng):
 # ---------------------------------------------------------------------------
 
 def _coset_frame(group, members):
-    cs = coset_space(group, subgroup(group, members))
+    cs = CosetSpace(group, Subgroup(group, members))
     return classify_frame(coset_permutation_rep(cs), canonical_coset_pvm(cs)), cs
 
 

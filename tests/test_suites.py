@@ -3,7 +3,6 @@ import math
 import sys
 
 import numpy as np
-import pytest
 
 from qrframes import cyclic_group, suites
 from qrframes.suites import run_checks
@@ -16,7 +15,7 @@ def test_exhaustiveness_contexts_follow_the_group():
     seen = {2: set(), 3: set()}
     for k in range(24):
         group = cyclic_group(2 if k % 2 == 0 else 3)
-        report = run_checks(group, ("exhaustiveness",), workers=1)
+        report = run_checks(group, ("exhaustiveness",))
         seen[group.order].add(tuple((c["name"], c["trials"], c["max_deviation"])
                                     for c in report["checks"]))
         del group, report
@@ -38,7 +37,7 @@ def test_nan_deviation_fails_its_check(monkeypatch):
         return real_op_norm(a)
 
     monkeypatch.setattr(suites, "op_norm", op_norm)
-    report = run_checks(cyclic_group(2), ("yen-invariance",), workers=1)
+    report = run_checks(cyclic_group(2), ("yen-invariance",))
     records = {c["name"]: c for c in report["checks"]}
     assert calls["nan"] == 1
     assert math.isnan(records["yen.isometry"]["max_deviation"])
@@ -50,7 +49,7 @@ def test_non_finite_deviation_fails(monkeypatch):
     claim, _ = suites.CHECKS["yen.unital"]
     monkeypatch.setitem(suites.CHECKS, "yen.unital",
                         (claim, lambda *args: {"max_deviation": float("inf"), "trials": 1}))
-    report = run_checks(cyclic_group(2), ("yen-invariance",), workers=1)
+    report = run_checks(cyclic_group(2), ("yen-invariance",))
     record = next(c for c in report["checks"] if c["name"] == "yen.unital")
     assert record["pass"] is False and "error" not in record
 
@@ -59,11 +58,10 @@ def _raise_linalg(*args):
     raise np.linalg.LinAlgError("SVD did not converge")
 
 
-@pytest.mark.parametrize("workers", (1, 2))
-def test_raising_check_fails_alone(monkeypatch, workers):
+def test_raising_check_fails_alone(monkeypatch):
     claim, _ = suites.CHECKS["yen.unital"]
     monkeypatch.setitem(suites.CHECKS, "yen.unital", (claim, _raise_linalg))
-    report = run_checks(cyclic_group(2), ("yen-invariance",), workers=workers)
+    report = run_checks(cyclic_group(2), ("yen-invariance",))
     records = {c["name"]: c for c in report["checks"]}
     broken = records.pop("yen.unital")
     assert broken["pass"] is False
