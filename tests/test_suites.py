@@ -3,6 +3,7 @@ import math
 import sys
 
 import numpy as np
+import pytest
 
 from qrframes import cyclic_group, suites
 from qrframes.suites import run_checks
@@ -58,10 +59,18 @@ def _raise_linalg(*args):
     raise np.linalg.LinAlgError("SVD did not converge")
 
 
-def test_raising_check_fails_alone(monkeypatch):
+@pytest.mark.parametrize("runs", (1, 2))
+def test_raising_check_fails_alone(monkeypatch, runs):
+    # Repeated runs in one process: the run memo lives for one run_checks
+    # call, so a check that raised leaves nothing behind for the next run.
     claim, _ = suites.CHECKS["yen.unital"]
     monkeypatch.setitem(suites.CHECKS, "yen.unital", (claim, _raise_linalg))
-    report = run_checks(cyclic_group(2), ("yen-invariance",))
+    group = cyclic_group(2)
+    reports = [run_checks(group, ("yen-invariance",)) for _ in range(runs)]
+    outcomes = {tuple((c["name"], c["pass"], repr(c["max_deviation"]), c["trials"],
+                       c.get("error")) for c in r["checks"]) for r in reports}
+    assert len(outcomes) == 1
+    report = reports[-1]
     records = {c["name"]: c for c in report["checks"]}
     broken = records.pop("yen.unital")
     assert broken["pass"] is False
