@@ -104,6 +104,9 @@ class EffectContext(_SpanViews):
             self._span = vh[:rank]
         else:
             self._span = np.zeros((0, self.basis.size))
+        # contexts are shared (the suite runner's memo), so every array they
+        # cache is read-only, as POVM effects are
+        self._span.setflags(write=False)
         self._kernel: Optional[np.ndarray] = None
 
     @property
@@ -142,6 +145,7 @@ class EffectContext(_SpanViews):
                 # complete the span rows to a full orthonormal set
                 u, s, vh = np.linalg.svd(self._span, full_matrices=True)
                 self._kernel = vh[self.rank:]
+            self._kernel.setflags(write=False)
         return self._kernel
 
 
@@ -192,6 +196,7 @@ class ProductContext(_SpanViews):
         if self._span is None:
             self._span = self.basis.to_coords(
                 _kron_stack([slot._span_stack for slot in self.slots]))
+            self._span.setflags(write=False)
         return self._span
 
     def kernel_coords(self) -> np.ndarray:
@@ -212,6 +217,7 @@ class ProductContext(_SpanViews):
                              for s in self.slots[k + 1:]])
                 rows.append(self.basis.to_coords(_kron_stack(stacks)))
             self._kernel = np.concatenate(rows)
+            self._kernel.setflags(write=False)
         return self._kernel
 
     def project(self, a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -1,9 +1,16 @@
 """Verification suites: every decidable identity of the calculus, packaged as
 named checks that report their worst deviation.
 
-Each check is a pure function of (group, rng, tol, trials); the runner
-executes a selection one check after another and assembles a deterministic
-report ordered by check name.
+A check is a generator function of (group, rng, tol, trials) that yields one
+deviation per trial.  The runner drains it: it keeps the largest deviation,
+NaN if any trial was NaN, and counts the yields as the check's trials.  A
+check whose natural trial count is not its number of deviations (one
+covariance deviation over order**2 group pairs, say) ends with ``return n``
+and the runner reports ``n`` instead.  The runner executes a selection one
+check after another and assembles a deterministic report ordered by check
+name.  It rejects, with ``ValueError`` (exit code 2 from the CLI), an unknown
+suite name, fewer than one trial and a tolerance that is not finite and
+non-negative: each would make a pass vacuous.
 """
 
 from __future__ import annotations
@@ -12,9 +19,8 @@ import math
 import time
 import zlib
 from contextvars import ContextVar
-from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,30 +74,6 @@ from .relativize import (
 SCENARIO_DIM_CAP = 1024
 
 
-@dataclass
-class CheckResult:
-    name: str
-    claim: str
-    passed: bool
-    max_deviation: float
-    trials: int
-    runtime_ms: float
-    error: Optional[str] = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "claim": self.claim,
-            "pass": bool(self.passed),
-            "max_deviation": float(self.max_deviation),
-            "trials": int(self.trials),
-            "runtime_ms": round(float(self.runtime_ms), 3),
-        }
-        if self.error is not None:
-            out["error"] = self.error
-        return out
-
-
 def _rng_for(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng([seed, zlib.crc32(name.encode())])
 
@@ -113,30 +95,27 @@ def _pair_scenario(group: FiniteGroup, kind: str = "left_regular",
 
 def check_covariance(group, rng, tol, trials, kind):
     frame = canonical_frame(group, kind)
-    return {"max_deviation": covariance_deviation(frame.povm, frame.rep),
-            "trials": group.order ** 2}
+    yield covariance_deviation(frame.povm, frame.rep)
+    return group.order ** 2
 
 
 def check_classification(group, rng, tol, trials):
     frame = canonical_frame(group)
-    flags_ok = frame.ideal and frame.localizable and frame.complete
+    yield 0.0 if frame.ideal and frame.localizable and frame.complete else 1.0
     uniform = classify_frame(frame.rep, uniform_povm(frame.rep))
-    uniform_ok = uniform.principal and (not uniform.localizable or group.order == 1)
-    return {"max_deviation": 0.0 if (flags_ok and uniform_ok) else 1.0,
-            "trials": 2}
+    yield 0.0 if uniform.principal and (not uniform.localizable or group.order == 1) else 1.0
 
 
 def check_born_equivariance(group, rng, tol, trials):
     frame = canonical_frame(group)
-    worst = 0.0
     for _ in range(trials):
         rho = random_density(rng, frame.dim)
         mu = born(frame.povm, rho)
         for h in group.elements():
             shifted = born(frame.povm, frame.rep.act_state(h, rho))
             expected = np.array([mu[frame.povm.act(h, x)] for x in range(frame.povm.size)])
-            worst = worst_of(worst, float(np.max(np.abs(shifted - expected))))
-    return {"max_deviation": worst, "trials": trials}
+            yield float(np.max(np.abs(shifted - expected)))
+    return trials
 
 
 # ---------------------------------------------------------------------------
@@ -150,29 +129,22 @@ def check_yen_invariance(group, rng, tol, trials):
     sys_rep = left_regular_rep(group) if group.order <= 12 else standard_system_rep(group, 2)
     ym = YenMap(frame, sys_rep)
     diag = frame.rep.tensor(sys_rep)
-    worst = 0.0
-    count = 0
     for b in HermitianBasis(sys_rep.dim).matrices:
         image = ym.apply(b)
         for h in group.elements():
-            worst = worst_of(worst, op_norm(diag.act_op(h, image) - image))
-            count += 1
-    return {"max_deviation": worst, "trials": count}
+            yield op_norm(diag.act_op(h, image) - image)
 
 
 def check_yen_unital(group, rng, tol, trials):
     frame = canonical_frame(group)
     sys_rep = standard_system_rep(group, 2)
     image = YenMap(frame, sys_rep).apply(np.eye(2, dtype=complex))
-    return {"max_deviation": op_norm(image - np.eye(2 * group.order)),
-            "trials": 1}
+    yield op_norm(image - np.eye(2 * group.order))
 
 
 def check_yen_cp(group, rng, tol, trials):
     frame = canonical_frame(group)
     sys_rep = standard_system_rep(group, 2)
-    worst = 0.0
-    runs = 0
     for k in (2, 3):
         for _ in range(max(1, trials // 4)):
             p = random_density(rng, sys_rep.dim * k) * (sys_rep.dim * k)
@@ -180,49 +152,39 @@ def check_yen_cp(group, rng, tol, trials):
             for g in group.elements():
                 ug = np.kron(sys_rep.mat(g), np.eye(k))
                 out += kron(frame.povm.effect(g), ug @ p @ dagger(ug))
-            low = float(np.min(np.linalg.eigvalsh((out + dagger(out)) / 2)))
-            worst = worst_of(worst, 0.0, -low)
-            runs += 1
-    return {"max_deviation": worst, "trials": runs}
+            # the most negative eigenvalue; a positive output reads 0
+            yield -float(np.min(np.linalg.eigvalsh((out + dagger(out)) / 2)))
 
 
 def check_yen_isometry(group, rng, tol, trials):
     frame = canonical_frame(group)
     sys_rep = standard_system_rep(group, 2)
     ym = YenMap(frame, sys_rep)
-    worst = 0.0
     mats = HermitianBasis(sys_rep.dim).matrices
     for _ in range(trials):
         mats.append(random_hermitian(rng, sys_rep.dim))
     for a in mats:
-        worst = worst_of(worst, abs(op_norm(ym.apply(a)) - op_norm(a)))
-    return {"max_deviation": worst, "trials": len(mats)}
+        yield abs(op_norm(ym.apply(a)) - op_norm(a))
 
 
 def check_yen_multiplicative(group, rng, tol, trials):
     frame = canonical_frame(group)
     sys_rep = standard_system_rep(group, 2)
     ym = YenMap(frame, sys_rep)
-    worst = 0.0
     for _ in range(trials):
         a = random_hermitian(rng, sys_rep.dim)
         b = random_hermitian(rng, sys_rep.dim)
-        worst = worst_of(worst, op_norm(ym.apply(a @ b) - ym.apply(a) @ ym.apply(b)))
-    return {"max_deviation": worst, "trials": trials}
+        yield op_norm(ym.apply(a @ b) - ym.apply(a) @ ym.apply(b))
 
 
 def check_yen_predual_duality(group, rng, tol, trials):
     frame = canonical_frame(group)
     sys_rep = standard_system_rep(group, 2)
     ym = YenMap(frame, sys_rep)
-    worst = 0.0
     for _ in range(trials):
         omega = random_hermitian(rng, ym.dim_total)
         a = random_hermitian(rng, sys_rep.dim)
-        lhs = np.trace(ym.predual(omega) @ a)
-        rhs = np.trace(omega @ ym.apply(a))
-        worst = worst_of(worst, abs(lhs - rhs))
-    return {"max_deviation": worst, "trials": trials}
+        yield abs(np.trace(ym.predual(omega) @ a) - np.trace(omega @ ym.apply(a)))
 
 
 # ---------------------------------------------------------------------------
@@ -256,18 +218,20 @@ def _exhaustiveness_contexts(group, sys_dim=2):
 
 def check_exhaustiveness_rank(group, rng, tol, trials):
     relative, _, relational = _exhaustiveness_contexts(group)
-    return {"max_deviation": float(abs(relative.rank - relational.rank)), "trials": 1}
+    yield float(abs(relative.rank - relational.rank))
 
 
 def check_exhaustiveness_residual(group, rng, tol, trials):
     relative, _, relational = _exhaustiveness_contexts(group)
-    dev = worst_of(span_residual(relative, relational), span_residual(relational, relative))
-    return {"max_deviation": dev, "trials": 2 * (relative.rank + relational.rank)}
+    yield span_residual(relative, relational)
+    yield span_residual(relational, relative)
+    return 2 * (relative.rank + relational.rank)
 
 
 def check_relative_inside_framed(group, rng, tol, trials):
     relative, framed, _ = _exhaustiveness_contexts(group)
-    return {"max_deviation": span_residual(relative, framed), "trials": relative.rank}
+    yield span_residual(relative, framed)
+    return relative.rank
 
 
 # ---------------------------------------------------------------------------
@@ -278,46 +242,33 @@ def check_localized_identity(group, rng, tol, trials):
     frame = canonical_frame(group)
     sys_rep = left_regular_rep(group) if group.order <= 12 else standard_system_rep(group, 2)
     omega = localizing_state(frame, group.identity)
-    worst = 0.0
-    count = 0
     for b in HermitianBasis(sys_rep.dim).matrices:
-        worst = worst_of(worst, op_norm(conditioned_yen(frame, sys_rep, omega, b) - b))
-        count += 1
-    return {"max_deviation": worst, "trials": count}
+        yield op_norm(conditioned_yen(frame, sys_rep, omega, b) - b)
 
 
 def check_invariant_state_twirl(group, rng, tol, trials):
     frame = canonical_frame(group)
     sys_rep = standard_system_rep(group, 2)
-    worst = 0.0
     for _ in range(trials):
         omega = g_twirl_predual(frame.rep, random_density(rng, frame.dim))
         a = random_hermitian(rng, sys_rep.dim)
-        worst = worst_of(worst, op_norm(
-            conditioned_yen(frame, sys_rep, omega, a) - g_twirl(sys_rep, a)
-        ))
-    return {"max_deviation": worst, "trials": trials}
+        yield op_norm(conditioned_yen(frame, sys_rep, omega, a) - g_twirl(sys_rep, a))
 
 
 def check_distribution_dependence(group, rng, tol, trials):
     frame = canonical_frame(group)
     sys_rep = standard_system_rep(group, 2)
-    worst = 0.0
     for _ in range(trials):
         omega = random_density(rng, frame.dim)
         dephased = np.diag(np.diag(omega))
         a = random_hermitian(rng, sys_rep.dim)
-        worst = worst_of(worst, op_norm(
-            conditioned_yen(frame, sys_rep, omega, a)
-            - conditioned_yen(frame, sys_rep, dephased, a)
-        ))
-    return {"max_deviation": worst, "trials": trials}
+        yield op_norm(conditioned_yen(frame, sys_rep, omega, a)
+                      - conditioned_yen(frame, sys_rep, dephased, a))
 
 
 def check_product_state_symmetry(group, rng, tol, trials):
     frame = canonical_frame(group)
     sys_rep = standard_system_rep(group, 2)
-    worst = 0.0
     for _ in range(trials):
         omega = random_density(rng, frame.dim)
         rho = random_density(rng, sys_rep.dim)
@@ -326,32 +277,25 @@ def check_product_state_symmetry(group, rng, tol, trials):
             rhs = product_relative_state(
                 frame, sys_rep, omega, sys_rep.act_state(group.inv(h), rho)
             )
-            worst = worst_of(worst, op_norm(lhs - rhs))
-    return {"max_deviation": worst, "trials": trials * group.order}
+            yield op_norm(lhs - rhs)
 
 
 def check_invariant_system_state(group, rng, tol, trials):
     frame = canonical_frame(group)
     sys_rep = standard_system_rep(group, 2)
-    worst = 0.0
     for _ in range(trials):
         omega = random_density(rng, frame.dim)
         rho = g_twirl_predual(sys_rep, random_density(rng, sys_rep.dim))
-        worst = worst_of(worst, op_norm(product_relative_state(frame, sys_rep, omega, rho) - rho))
-    return {"max_deviation": worst, "trials": trials}
+        yield op_norm(product_relative_state(frame, sys_rep, omega, rho) - rho)
 
 
 def check_lift_roundtrip(group, rng, tol, trials):
     frame = canonical_frame(group)
     sys_rep = standard_system_rep(group, 2)
     omega = localizing_state(frame, group.identity)
-    worst = 0.0
     for _ in range(trials):
         rel = random_density(rng, sys_rep.dim)
-        worst = worst_of(worst, op_norm(
-            yen_predual(frame, sys_rep, kron(omega, rel)) - rel
-        ))
-    return {"max_deviation": worst, "trials": trials}
+        yield op_norm(yen_predual(frame, sys_rep, kron(omega, rel)) - rel)
 
 
 # ---------------------------------------------------------------------------
@@ -364,14 +308,12 @@ def check_orientation_delta(group, rng, tol, trials):
     orientation = relative_orientation(f1, f2)
     omega = localizing_state(f1, group.identity)
     rho = localizing_state(f2, group.identity)
-    worst = 0.0
     for h in group.elements():
         state = kron(omega, f2.rep.act_state(group.inv(h), rho))
         mu = born(orientation, state)
         expected = np.zeros(group.order)
         expected[h] = 1.0
-        worst = worst_of(worst, float(np.max(np.abs(mu - expected))))
-    return {"max_deviation": worst, "trials": group.order}
+        yield float(np.max(np.abs(mu - expected)))
 
 
 def check_orientation_swap(group, rng, tol, trials):
@@ -380,18 +322,15 @@ def check_orientation_swap(group, rng, tol, trials):
     a = relative_orientation(f1, f2)
     b = relative_orientation(f2, f1)
     dims = (f2.dim, f1.dim)
-    worst = 0.0
     for x in group.elements():
         swapped = permute_factors(b.effect(group.inv(x)), dims, [1, 0])
-        worst = worst_of(worst, float(np.max(np.abs(a.effect(x) - swapped))))
-    return {"max_deviation": worst, "trials": group.order}
+        yield float(np.max(np.abs(a.effect(x) - swapped)))
 
 
 def check_orientation_convolution(group, rng, tol, trials):
     f1 = canonical_frame(group)
     f2 = canonical_frame(group)
     orientation = relative_orientation(f1, f2)
-    worst = 0.0
     for _ in range(trials):
         omega = random_density(rng, f1.dim)
         rho = random_density(rng, f2.dim)
@@ -402,8 +341,7 @@ def check_orientation_convolution(group, rng, tol, trials):
             sum(p[g] * q[group.mul(g, x)] for g in group.elements())
             for x in group.elements()
         ])
-        worst = worst_of(worst, float(np.max(np.abs(mu - expected))))
-    return {"max_deviation": worst, "trials": trials}
+        yield float(np.max(np.abs(mu - expected)))
 
 
 # ---------------------------------------------------------------------------
@@ -414,51 +352,39 @@ def check_fc_well_defined(group, rng, tol, trials):
     scenario = _pair_scenario(group)
     ctx = scenario.framing_context(0, (1,))
     kernel = ctx.kernel_coords()
-    worst = 0.0
-    runs = 0
     for t in range(trials):
         state = random_density(rng, ctx.dim)
         base = frame_change(scenario, 0, 1, state)
         if kernel.shape[0] == 0:
-            worst = worst_of(worst, 0.0)
-            runs += 1
+            yield 0.0
             continue
         row = kernel[int(rng.integers(kernel.shape[0]))]
         bump = 0.25 * ctx.basis.from_coords(row)
         other = frame_change(scenario, 0, 1, state + bump)
-        worst = worst_of(worst, base.class_deviation(other))
-        runs += 1
-    return {"max_deviation": worst, "trials": runs}
+        yield base.class_deviation(other)
 
 
 def check_fc_diagram(group, rng, tol, trials):
     scenario = _pair_scenario(group)
-    worst = 0.0
     for _ in range(trials):
         omega = random_density(rng, scenario.total_dim)
         left = scenario.yen_predual_total(1, omega)
         rel = scenario.yen_predual_total(0, omega)
-        moved = frame_change(scenario, 0, 1, rel)
-        worst = worst_of(worst, moved.class_deviation(left))
-    return {"max_deviation": worst, "trials": trials}
+        yield frame_change(scenario, 0, 1, rel).class_deviation(left)
 
 
 def check_fc_inverse(group, rng, tol, trials):
     scenario = _pair_scenario(group)
     ctx = scenario.framing_context(0, (1,))
-    worst = 0.0
     for _ in range(trials):
         state = random_density(rng, ctx.dim)
         back = frame_change(scenario, 1, 0, frame_change(scenario, 0, 1, state))
-        delta = back.matrix - state
-        worst = worst_of(worst, float(np.max(np.abs(ctx.pairings(delta)))))
-    return {"max_deviation": worst, "trials": trials}
+        yield float(np.max(np.abs(ctx.pairings(back.matrix - state))))
 
 
 def check_fc_affine(group, rng, tol, trials):
     scenario = _pair_scenario(group)
     dim = int(np.prod(scenario.complement_dims(0)))
-    worst = 0.0
     for _ in range(trials):
         x = random_density(rng, dim)
         y = random_density(rng, dim)
@@ -466,41 +392,34 @@ def check_fc_affine(group, rng, tol, trials):
         mix = frame_change(scenario, 0, 1, lam * x + (1 - lam) * y)
         parts = (lam * frame_change(scenario, 0, 1, x).matrix
                  + (1 - lam) * frame_change(scenario, 0, 1, y).matrix)
-        worst = worst_of(worst, mix.class_deviation(parts))
-    return {"max_deviation": worst, "trials": trials}
+        yield mix.class_deviation(parts)
+
+
+def _ket(labels: Sequence[int], n: int) -> np.ndarray:
+    """The basis projector |l_1 ... l_k><l_1 ... l_k| on (C^n)^(x)k."""
+    flat = np.ravel_multi_index(tuple(labels), (n,) * len(labels))
+    out = np.zeros((n ** len(labels),) * 2, dtype=complex)
+    out[flat, flat] = 1.0
+    return out
+
+
+def _basis_kets(group, scenario, rng, trials) -> Iterator[Tuple[tuple, np.ndarray]]:
+    """Up to four basis preparations |h2> (x) |h3> on the complement of the
+    first frame of a regular pair scenario (|h2> alone without a system),
+    drawing h2 and then h3 from the rng; yields the labels and the state."""
+    slots = 2 if scenario.system_rep is not None else 1
+    for _ in range(min(trials, 4)):
+        labels = tuple(int(rng.integers(group.order)) for _ in range(slots))
+        yield labels, _ket(labels, group.order)
 
 
 def check_fc_ket_transform(group, rng, tol, trials):
     scenario = _pair_scenario(group, kind="left_right", system="regular")
-    n = group.order
-    with_system = scenario.system_rep is not None
-    worst = 0.0
-    runs = 0
-    kets = []
-    for _ in range(min(trials, 4)):
-        h2 = int(rng.integers(n))
-        h3 = int(rng.integers(n)) if with_system else None
-        kets.append((h2, h3))
-    for h2, h3 in kets:
-        state = np.zeros((n, n), dtype=complex)
-        state[h2, h2] = 1.0
-        expected_idx = [group.inv(h2)]
-        if with_system:
-            sys_state = np.zeros((n, n), dtype=complex)
-            sys_state[h3, h3] = 1.0
-            state = kron(state, sys_state)
-            expected_idx.append(group.mul(h3, group.inv(h2)))
+    for (h2, *h3), state in _basis_kets(group, scenario, rng, trials):
         moved = frame_change(scenario, 0, 1, state)
-        expected = np.zeros_like(moved.matrix)
-        flat = 0
-        if with_system:
-            flat = expected_idx[0] * n + expected_idx[1]
-        else:
-            flat = expected_idx[0]
-        expected[flat, flat] = 1.0
-        worst = worst_of(worst, float(np.max(np.abs(moved.matrix - expected))))
-        runs += 1
-    return {"max_deviation": worst, "trials": runs}
+        inv = group.inv(h2)
+        expected = _ket([inv] + [group.mul(h, inv) for h in h3], group.order)
+        yield float(np.max(np.abs(moved.matrix - expected)))
 
 
 def check_fc_composition(group, rng, tol, trials):
@@ -508,13 +427,9 @@ def check_fc_composition(group, rng, tol, trials):
 
     frames = [canonical_frame(group) for _ in range(3)]
     scenario = MultiFrameScenario(frames, None)
-    worst = 0.0
-    runs = 0
     for _ in range(max(3, trials // 4)):
         state = random_density(rng, int(np.prod(scenario.complement_dims(0))))
-        worst = worst_of(worst, compose_check(scenario, state)["max_deviation"])
-        runs += 1
-    return {"max_deviation": worst, "trials": runs}
+        yield compose_check(scenario, state)["max_deviation"]
 
 
 # ---------------------------------------------------------------------------
@@ -526,35 +441,17 @@ def check_agreement_states(group, rng, tol, trials):
 
     scenario = _pair_scenario(group, kind="left_right")
     dim = int(np.prod(scenario.complement_dims(0)))
-    worst = 0.0
     for t in range(trials):
         state = random_pure_state(rng, dim) if t % 2 == 0 else random_density(rng, dim)
-        worst = worst_of(worst, operational_agreement(scenario, state)["max_deviation"])
-    return {"max_deviation": worst, "trials": trials}
+        yield operational_agreement(scenario, state)["max_deviation"]
 
 
 def check_agreement_kets(group, rng, tol, trials):
     scenario = _pair_scenario(group, kind="left_right", system="regular")
     u = coherent_frame_change_unitary(scenario, 0, 1)
-    n = group.order
-    with_system = scenario.system_rep is not None
-    worst = 0.0
-    runs = 0
-    for _ in range(min(trials, 4)):
-        h2 = int(rng.integers(n))
-        ket = np.zeros((n, n), dtype=complex)
-        ket[h2, h2] = 1.0
-        state = ket
-        if with_system:
-            h3 = int(rng.integers(n))
-            sys_ket = np.zeros((n, n), dtype=complex)
-            sys_ket[h3, h3] = 1.0
-            state = kron(ket, sys_ket)
+    for _, state in _basis_kets(group, scenario, rng, trials):
         moved = frame_change(scenario, 0, 1, state)
-        coherent = u @ state @ dagger(u)
-        worst = worst_of(worst, float(np.max(np.abs(moved.matrix - coherent))))
-        runs += 1
-    return {"max_deviation": worst, "trials": runs}
+        yield float(np.max(np.abs(moved.matrix - u @ state @ dagger(u))))
 
 
 def check_agreement_lueders(group, rng, tol, trials):
@@ -582,9 +479,9 @@ def check_agreement_lueders(group, rng, tol, trials):
     for x in range(n):
         p = np.kron(pvm.effect(x), np.eye(rest_dim, dtype=complex))
         lueders += p @ coherent @ p
-    class_dev = moved.class_deviation(coherent)
-    matrix_dev = float(np.max(np.abs(moved.matrix - lueders)))
-    return {"max_deviation": worst_of(class_dev, matrix_dev), "trials": 1}
+    yield moved.class_deviation(coherent)
+    yield float(np.max(np.abs(moved.matrix - lueders)))
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -592,74 +489,64 @@ def check_agreement_lueders(group, rng, tol, trials):
 # ---------------------------------------------------------------------------
 
 def check_measurement_prc(group, rng, tol, trials):
-    scheme = canonical_scheme(group)
-    report = check_prc(scheme, tol)
-    return {"max_deviation": report["max_deviation"], "trials": report["outcomes"]}
+    report = check_prc(canonical_scheme(group), tol)
+    yield report["max_deviation"]
+    return report["outcomes"]
 
 
 def check_measurement_rrc(group, rng, tol, trials):
-    scheme = canonical_scheme(group)
-    report = check_rrc(scheme, left_regular_rep(group), tol)
-    return {"max_deviation": report["max_deviation"], "trials": report["pairs"]}
+    report = check_rrc(canonical_scheme(group), left_regular_rep(group), tol)
+    yield report["max_deviation"]
+    return report["pairs"]
 
 
 def check_measurement_orientation(group, rng, tol, trials):
-    frame = canonical_frame(group)
-    system = canonical_frame(group)
-    report = rrc_relative_orientation(frame, system, tol)
-    return {"max_deviation": report["max_deviation"], "trials": report["pairs"]}
+    report = rrc_relative_orientation(canonical_frame(group), canonical_frame(group), tol)
+    yield report["max_deviation"]
+    return report["pairs"]
 
 
 # ---------------------------------------------------------------------------
 # triangular reconstruction
 # ---------------------------------------------------------------------------
 
-def check_reconstruction_product_form(group, rng, tol, trials):
+def _reconstruction_setup(group):
+    """Two canonical frames, the 2-dim system rep, and the reconstruction
+    map rho, omega -> rho' with the frames' relative orientation computed
+    once."""
     f1 = canonical_frame(group)
     f2 = canonical_frame(group)
     sys_rep = standard_system_rep(group, 2)
     orientation = relative_orientation(f1, f2)
-    worst = 0.0
+    return f1, f2, sys_rep, lambda rho, omega: triangular_reconstruction(
+        f1, f2, rho, sys_rep, omega, orientation=orientation)
+
+
+def check_reconstruction_product_form(group, rng, tol, trials):
+    f1, f2, sys_rep, reconstruct = _reconstruction_setup(group)
     for _ in range(trials):
         rho = random_density(rng, sys_rep.dim)
         omega = random_density(rng, f1.dim * f2.dim)
-        direct = triangular_reconstruction(f1, f2, rho, sys_rep, omega,
-                                           orientation=orientation)
         rel2 = yen_predual(f1, f2.rep, omega)
         product = yen_predual(f2, sys_rep, kron(rel2, rho))
-        worst = worst_of(worst, op_norm(direct - product))
-    return {"max_deviation": worst, "trials": trials}
+        yield op_norm(reconstruct(rho, omega) - product)
 
 
 def check_reconstruction_localized(group, rng, tol, trials):
-    f1 = canonical_frame(group)
-    f2 = canonical_frame(group)
-    sys_rep = standard_system_rep(group, 2)
-    orientation = relative_orientation(f1, f2)
-    worst = 0.0
+    f1, f2, sys_rep, reconstruct = _reconstruction_setup(group)
     for h in group.elements():
         rho = random_density(rng, sys_rep.dim)
         omega = kron(localizing_state(f1, group.identity),
                      f2.rep.act_state(group.inv(h), localizing_state(f2, group.identity)))
-        out = triangular_reconstruction(f1, f2, rho, sys_rep, omega,
-                                        orientation=orientation)
-        worst = worst_of(worst, op_norm(out - sys_rep.act_state(h, rho)))
-    return {"max_deviation": worst, "trials": group.order}
+        yield op_norm(reconstruct(rho, omega) - sys_rep.act_state(h, rho))
 
 
 def check_reconstruction_invariant(group, rng, tol, trials):
-    f1 = canonical_frame(group)
-    f2 = canonical_frame(group)
-    sys_rep = standard_system_rep(group, 2)
-    orientation = relative_orientation(f1, f2)
-    worst = 0.0
+    f1, f2, sys_rep, reconstruct = _reconstruction_setup(group)
     for _ in range(trials):
         rho = g_twirl_predual(sys_rep, random_density(rng, sys_rep.dim))
         omega = random_density(rng, f1.dim * f2.dim)
-        out = triangular_reconstruction(f1, f2, rho, sys_rep, omega,
-                                        orientation=orientation)
-        worst = worst_of(worst, op_norm(out - rho))
-    return {"max_deviation": worst, "trials": trials}
+        yield op_norm(reconstruct(rho, omega) - rho)
 
 
 # ---------------------------------------------------------------------------
@@ -781,15 +668,14 @@ CHECKS: Dict[str, tuple] = {
 }
 
 SUITES: Dict[str, List[str]] = {
-    "covariance": [n for n in CHECKS if n.startswith("covariance.")],
-    "yen-invariance": [n for n in CHECKS if n.startswith("yen.")],
-    "exhaustiveness": [n for n in CHECKS if n.startswith("exhaustiveness.")],
-    "conditioning": [n for n in CHECKS if n.startswith("conditioning.")],
-    "relative-orientation": [n for n in CHECKS if n.startswith("orientation.")],
-    "frame-change": [n for n in CHECKS if n.startswith("framechange.")],
-    "agreement": [n for n in CHECKS if n.startswith("agreement.")],
-    "measurement": [n for n in CHECKS if n.startswith("measurement.")],
-    "reconstruction": [n for n in CHECKS if n.startswith("reconstruction.")],
+    suite: [n for n in CHECKS if n.startswith(prefix + ".")]
+    for suite, prefix in [
+        ("covariance", "covariance"), ("yen-invariance", "yen"),
+        ("exhaustiveness", "exhaustiveness"), ("conditioning", "conditioning"),
+        ("relative-orientation", "orientation"), ("frame-change", "framechange"),
+        ("agreement", "agreement"), ("measurement", "measurement"),
+        ("reconstruction", "reconstruction"),
+    ]
 }
 
 
@@ -804,21 +690,29 @@ def available_checks(group: FiniteGroup, names: Sequence[str]) -> List[str]:
 
 
 def select_checks(suites: Sequence[str]) -> List[str]:
-    names: List[str] = []
-    for s in suites:
-        key = s.strip().lower()
-        if key == "all":
-            return list(CHECKS)
-        if key not in SUITES:
+    """The check names of the named suites, in order and without repeats;
+    ``all`` anywhere selects every check.  Every name is validated first."""
+    keys = [s.strip().lower() for s in suites]
+    for s, key in zip(suites, keys):
+        if key != "all" and key not in SUITES:
             raise ValueError(f"unknown suite {s!r}; choose from {', '.join(SUITES)} or 'all'")
-        names.extend(SUITES[key])
-    seen = set()
-    unique = []
-    for n in names:
-        if n not in seen:
-            seen.add(n)
-            unique.append(n)
-    return unique
+    if "all" in keys:
+        return list(CHECKS)
+    return list(dict.fromkeys(n for key in keys for n in SUITES[key]))
+
+
+def _drain(deviations: Iterator[float]) -> Tuple[float, int]:
+    """The largest of 0.0 and the deviations a check yields, NaN if any is
+    NaN, and its trial count: the number of yields, or the value the check
+    returns."""
+    worst, count = 0.0, 0
+    while True:
+        try:
+            dev = next(deviations)
+        except StopIteration as stop:
+            return worst, count if stop.value is None else int(stop.value)
+        worst = worst_of(worst, dev)
+        count += 1
 
 
 def run_checks(group: FiniteGroup, suites: Sequence[str] = ("all",), tol: float = 1e-9,
@@ -830,36 +724,39 @@ def run_checks(group: FiniteGroup, suites: Sequence[str] = ("all",), tol: float 
     check's numbers depend on which checks ran before it.  A check that
     raises, or whose deviation is not finite, fails; a raising check's record
     carries the exception under ``error`` and the other checks still run.
+    Raises ``ValueError`` for an unknown suite, ``trials < 1`` or a
+    tolerance that is not finite and non-negative.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
     results = []
     token = _RUN_MEMO.set({})
     try:
         for name in available_checks(group, select_checks(suites)):
             claim, fn = CHECKS[name]
-            rng = _rng_for(seed, name)
             start = time.perf_counter()
-            error = None
+            record = {"name": name, "claim": claim}
             try:
-                out = fn(group, rng, tol, trials)
-                dev, count = float(out["max_deviation"]), int(out["trials"])
+                dev, count = _drain(fn(group, _rng_for(seed, name), tol, trials))
             except Exception as exc:  # a check that raises fails alone
-                error = f"{type(exc).__name__}: {exc}"
+                record["error"] = f"{type(exc).__name__}: {exc}"
                 dev, count = math.nan, 0
-            elapsed = (time.perf_counter() - start) * 1000.0
-            results.append(CheckResult(name=name, claim=claim,
-                                       passed=math.isfinite(dev) and dev <= tol,
-                                       max_deviation=dev, trials=count,
-                                       runtime_ms=elapsed, error=error))
+            record.update({"pass": math.isfinite(dev) and dev <= tol, "max_deviation": dev,
+                           "trials": count,
+                           "runtime_ms": round((time.perf_counter() - start) * 1000.0, 3)})
+            results.append(record)
     finally:
         _RUN_MEMO.reset(token)
-    results.sort(key=lambda r: r.name)
-    passed = sum(1 for r in results if r.passed)
+    results.sort(key=lambda r: r["name"])
+    passed = sum(1 for r in results if r["pass"])
     return {
         "group": group.name,
         "tol": tol,
         "seed": seed,
         "trials": trials,
-        "checks": [r.to_dict() for r in results],
+        "checks": results,
         "summary": {"total": len(results), "passed": passed,
                     "failed": len(results) - passed},
     }

@@ -49,6 +49,20 @@ def test_verify_unknown_suite():
     assert run(["verify", "--group", "builtin:z2", "--suite", "bogus"]) == 2
 
 
+@pytest.mark.parametrize("args", (
+    ["--trials", "0"],
+    ["--tol", "-1"],
+    ["--tol", "nan"],
+    ["--tol", "inf"],
+    ["--suite", "all", "--suite", "nonsense"],
+), ids=("trials-0", "tol-negative", "tol-nan", "tol-inf", "all-and-unknown-suite"))
+def test_verify_rejects_vacuous_or_unknown_input(args, capsys):
+    # no trials, a tolerance nothing can meet or everything meets, and a
+    # bad suite name next to 'all' are all bad input
+    assert run(["verify", "--group", "builtin:z3", *args]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_verify_failing_tolerance(tmp_path):
     # an absurdly small tolerance turns float roundoff into failures
     out = tmp_path / "report.json"

@@ -59,6 +59,20 @@ def test_empty_context():
     assert equivalent(ctx, np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
 
 
+@pytest.mark.parametrize("make", (
+    lambda: EffectContext([np.eye(3)]),
+    lambda: EffectContext([], dim=2),
+    lambda: framed_subspace(canonical_frame(cyclic_group(2)), 2),
+), ids=("effect", "effect-rank-0", "product"))
+def test_cached_context_arrays_are_read_only(make):
+    # a run shares contexts between checks, so a write in one check would
+    # change the verdicts of the next
+    ctx = make()
+    for arr in (ctx.span_coords, ctx.kernel_coords()):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0.0
+
+
 def test_context_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
         EffectContext([np.array([[0.0, 1.0], [0.0, 0.0]])])

@@ -1,11 +1,14 @@
 import gc
+import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qrframes import cyclic_group, suites
+from qrframes.builtins import builtin_group
 from qrframes.suites import run_checks
 
 
@@ -49,7 +52,7 @@ def test_nan_deviation_fails_its_check(monkeypatch):
 def test_non_finite_deviation_fails(monkeypatch):
     claim, _ = suites.CHECKS["yen.unital"]
     monkeypatch.setitem(suites.CHECKS, "yen.unital",
-                        (claim, lambda *args: {"max_deviation": float("inf"), "trials": 1}))
+                        (claim, lambda *args: iter([float("inf")])))
     report = run_checks(cyclic_group(2), ("yen-invariance",))
     record = next(c for c in report["checks"] if c["name"] == "yen.unital")
     assert record["pass"] is False and "error" not in record
@@ -81,3 +84,14 @@ def test_raising_check_fails_alone(monkeypatch, runs):
     for rec in records.values():
         assert rec["pass"] is True
         assert set(rec) == {"name", "claim", "pass", "max_deviation", "trials", "runtime_ms"}
+
+
+@pytest.mark.parametrize("name", ("z3", "s3"))
+def test_report_shape_matches_fixture(name):
+    # names, claims, verdicts and trial counts are exact; deviations are only
+    # bounded, since their last bits depend on the BLAS build
+    fixture = json.loads((Path(__file__).parent / "data" / "report_shape.json").read_text())
+    report = run_checks(builtin_group(name), ("all",), seed=0)
+    keys = ("name", "claim", "pass", "trials")
+    assert [{k: c[k] for k in keys} for c in report["checks"]] == fixture[name]
+    assert all(c["max_deviation"] <= report["tol"] for c in report["checks"])
