@@ -5,12 +5,14 @@ diagonal group action and one covariant frame observable per frame factor.
 The localized frame-change map out of frame j lifts a relative state by
 attaching the localizing state of frame j, applies the predual relativization
 of the target frame, and projects onto the classes framed by the source
-observable.  The map is affine, well defined on classes, invertible between
-localizable frames, and composable across three frames.
+observable, all at the size of a complement: the lifted state is a product,
+so its predual factorizes.  The map is affine, well defined on classes,
+invertible between localizable frames, and composable across three frames.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -20,7 +22,6 @@ from .operators import (
     HermitianBasis,
     as_operator,
     kron,
-    permute_factors,
 )
 from .opequiv import (
     Context,
@@ -29,8 +30,8 @@ from .opequiv import (
     ProductContext,
     invariant_subspace,
 )
-from .quantum import Frame, UnitaryRep, UnsupportedFrameError, localizing_state
-from .relativize import _extract, _place, relative_orientation
+from .quantum import Frame, UnitaryRep, UnsupportedFrameError, localizing_state, trivial_rep
+from .relativize import _extract, _layout, _place, relative_orientation
 
 
 class MultiFrameScenario:
@@ -60,29 +61,25 @@ class MultiFrameScenario:
         self._contexts: dict = {}
 
     @property
-    def shape(self) -> tuple:
-        return self.dims
-
-    @property
     def diagonal_rep(self) -> UnitaryRep:
-        return self.rest_rep(None)
+        return self.rest_rep()
 
-    def complement(self, j: Optional[int]) -> list:
-        """Factor positions excluding slot j (all positions for j=None)."""
-        return [k for k in range(self.n_factors) if k != j]
+    def complement(self, *exclude: int) -> list:
+        """Factor positions not in ``exclude``, in order."""
+        return [k for k in range(self.n_factors) if k not in exclude]
 
-    def complement_dims(self, j: Optional[int]) -> tuple:
-        return tuple(self.dims[k] for k in self.complement(j))
+    def complement_dims(self, *exclude: int) -> tuple:
+        return tuple(self.dims[k] for k in self.complement(*exclude))
 
-    def rest_rep(self, j: Optional[int]) -> UnitaryRep:
-        """Tensor representation on the complement of slot j (cached)."""
-        if j not in self._rest_reps:
-            reps = [self.factor_reps[k] for k in self.complement(j)]
-            rep = reps[0]
-            for r in reps[1:]:
-                rep = rep.tensor(r)
-            self._rest_reps[j] = rep
-        return self._rest_reps[j]
+    def rest_rep(self, *exclude: int) -> UnitaryRep:
+        """Tensor representation on the factors not in ``exclude`` (cached);
+        the empty product is the 1-dim trivial representation."""
+        key = frozenset(exclude)
+        if key not in self._rest_reps:
+            reps = [self.factor_reps[k] for k in self.complement(*exclude)]
+            self._rest_reps[key] = (reduce(UnitaryRep.tensor, reps) if reps
+                                    else trivial_rep(self.group))
+        return self._rest_reps[key]
 
     def _check_frame_index(self, j: int) -> None:
         if not 0 <= j < len(self.frames):
@@ -106,17 +103,6 @@ class MultiFrameScenario:
             raise ValueError("operand does not match the total dimension")
         blocks = _extract(self.frames[j].povm, omega, self.dims, j)
         return self.rest_rep(j).orbit(blocks, dual=True).sum(axis=0)
-
-    def lift_total(self, j: int, omega: np.ndarray, omega_rel: np.ndarray) -> np.ndarray:
-        """Attach a frame-j state to an operator on the complement of slot j."""
-        self._check_frame_index(j)
-        omega = as_operator(omega)
-        omega_rel = as_operator(omega_rel)
-        rest = self.complement(j)
-        order = [j] + rest
-        order_dims = [self.dims[f] for f in order]
-        inverse = [order.index(k) for k in range(self.n_factors)]
-        return permute_factors(kron(omega, omega_rel), order_dims, inverse)
 
     def framing_context(self, reference: int, framed: Sequence[int],
                         tol: float = DEFAULT_TOL) -> ProductContext:
@@ -223,9 +209,11 @@ def frame_change(scenario: MultiFrameScenario, src: int, dst: int,
                  tol: float = DEFAULT_TOL) -> FramedRelativeState:
     """The localized frame-change map from frame ``src`` to frame ``dst``.
 
-    Lifts through the exact localizing state of the source frame (at the
-    identity unless ``localize_at`` says otherwise), relativizes with respect
-    to the target frame, and projects onto the source-framed classes.
+    Lifts through the exact localizing state omega of the source frame (at
+    the identity unless ``localize_at`` says otherwise), relativizes with
+    respect to the target frame, and projects onto the source-framed classes.
+    With B_x = Tr_dst[(E_dst(x) at dst) rho] on the other slots, the predual
+    of omega (x) rho is sum_g (g.omega) (x) (g.B_g), omega at the src slot.
     """
     scenario._check_frame_index(src)
     scenario._check_frame_index(dst)
@@ -233,13 +221,23 @@ def frame_change(scenario: MultiFrameScenario, src: int, dst: int,
         raise ValueError("source and target frames must differ")
     if not scenario.frames[src].localizable:
         raise UnsupportedFrameError("frame changes require a localizable source frame")
+    if isinstance(state, FramedRelativeState) and state.reference != src:
+        raise ValueError(f"state is relative to frame {state.reference}, not to {src}")
     matrix = state.matrix if isinstance(state, FramedRelativeState) else as_operator(state)
+    if matrix.shape[0] != int(np.prod(scenario.complement_dims(src))):
+        raise ValueError(f"state dim {matrix.shape[0]} does not match the complement of {src}")
     point = scenario.group.identity if localize_at is None else int(localize_at)
     omega = localizing_state(scenario.frames[src], point, tol)
-    total = scenario.lift_total(src, omega, matrix)
-    out = scenario.yen_predual_total(dst, total)
+    blocks = _extract(scenario.frames[dst].povm, matrix, scenario.complement_dims(src),
+                      scenario.complement(src).index(dst))
+    frame_orbit = scenario.frames[src].rep.orbit(omega, dual=True)
+    rest_orbit = scenario.rest_rep(src, dst).orbit(blocks, dual=True)
+    before, s, after = _layout(scenario.complement_dims(dst), scenario.complement(dst).index(src))
+    out = np.einsum("gst,gikjl->iskjtl", frame_orbit,
+                    rest_orbit.reshape(-1, before, after, before, after), optimize=True)
     ctx = scenario.framing_context(dst, (src,))
-    return FramedRelativeState(scenario, dst, ctx.project(out), framed=(src,), context=ctx)
+    return FramedRelativeState(scenario, dst, ctx.project(out.reshape(before * s * after, -1)),
+                               framed=(src,), context=ctx)
 
 
 def coherent_frame_change_unitary(scenario: MultiFrameScenario, src: int = 0,

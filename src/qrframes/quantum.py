@@ -484,6 +484,8 @@ def localizing_state(frame: Frame, x: int, tol: float = DEFAULT_TOL) -> np.ndarr
     """
     if not frame.localizable:
         raise UnsupportedFrameError("localizing states require a localizable frame")
+    if not 0 <= x < frame.povm.size:
+        raise ValueError(f"sample point {x} is outside range({frame.povm.size})")
     e = frame.povm.effect(x)
     vals, vecs = np.linalg.eigh((e + dagger(e)) / 2)
     top = vals[-1]

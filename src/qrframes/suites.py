@@ -9,8 +9,8 @@ covariance deviation over order**2 group pairs, say) ends with ``return n``
 and the runner reports ``n`` instead.  The runner executes a selection one
 check after another and assembles a deterministic report ordered by check
 name.  It rejects, with ``ValueError`` (exit code 2 from the CLI), an unknown
-suite name, fewer than one trial and a tolerance that is not finite and
-non-negative: each would make a pass vacuous.
+suite name, an empty selection, fewer than one trial and a tolerance that is
+not finite and non-negative: each would make a pass vacuous.
 """
 
 from __future__ import annotations
@@ -71,21 +71,20 @@ from .relativize import (
     yen_predual,
 )
 
-SCENARIO_DIM_CAP = 1024
-
 
 def _rng_for(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng([seed, zlib.crc32(name.encode())])
 
 
 def _pair_scenario(group: FiniteGroup, kind: str = "left_regular",
-                   system: str = "auto") -> MultiFrameScenario:
+                   regular_system: bool = False) -> MultiFrameScenario:
+    """Two canonical frames of one kind plus a system: the 2-dim standard
+    rep, or the regular rep of the frames' kind."""
     frames = [canonical_frame(group, kind), canonical_frame(group, kind)]
-    sys_rep = None
-    if system == "auto" and 2 * group.order ** 2 <= SCENARIO_DIM_CAP:
-        sys_rep = standard_system_rep(group, 2)
-    elif system == "regular" and group.order ** 3 <= SCENARIO_DIM_CAP:
+    if regular_system:
         sys_rep = left_right_rep(group) if kind == "left_right" else left_regular_rep(group)
+    else:
+        sys_rep = standard_system_rep(group, 2)
     return MultiFrameScenario(frames, sys_rep)
 
 
@@ -403,22 +402,21 @@ def _ket(labels: Sequence[int], n: int) -> np.ndarray:
     return out
 
 
-def _basis_kets(group, scenario, rng, trials) -> Iterator[Tuple[tuple, np.ndarray]]:
+def _basis_kets(group, rng, trials) -> Iterator[Tuple[tuple, np.ndarray]]:
     """Up to four basis preparations |h2> (x) |h3> on the complement of the
-    first frame of a regular pair scenario (|h2> alone without a system),
-    drawing h2 and then h3 from the rng; yields the labels and the state."""
-    slots = 2 if scenario.system_rep is not None else 1
+    first frame of a regular pair scenario, drawing h2 and then h3 from the
+    rng; yields the labels and the state."""
     for _ in range(min(trials, 4)):
-        labels = tuple(int(rng.integers(group.order)) for _ in range(slots))
+        labels = tuple(int(rng.integers(group.order)) for _ in range(2))
         yield labels, _ket(labels, group.order)
 
 
 def check_fc_ket_transform(group, rng, tol, trials):
-    scenario = _pair_scenario(group, kind="left_right", system="regular")
-    for (h2, *h3), state in _basis_kets(group, scenario, rng, trials):
+    scenario = _pair_scenario(group, kind="left_right", regular_system=True)
+    for (h2, h3), state in _basis_kets(group, rng, trials):
         moved = frame_change(scenario, 0, 1, state)
         inv = group.inv(h2)
-        expected = _ket([inv] + [group.mul(h, inv) for h in h3], group.order)
+        expected = _ket([inv, group.mul(h3, inv)], group.order)
         yield float(np.max(np.abs(moved.matrix - expected)))
 
 
@@ -447,38 +445,34 @@ def check_agreement_states(group, rng, tol, trials):
 
 
 def check_agreement_kets(group, rng, tol, trials):
-    scenario = _pair_scenario(group, kind="left_right", system="regular")
+    scenario = _pair_scenario(group, kind="left_right", regular_system=True)
     u = coherent_frame_change_unitary(scenario, 0, 1)
-    for _, state in _basis_kets(group, scenario, rng, trials):
+    for _, state in _basis_kets(group, rng, trials):
         moved = frame_change(scenario, 0, 1, state)
         yield float(np.max(np.abs(moved.matrix - u @ state @ dagger(u))))
 
 
 def check_agreement_lueders(group, rng, tol, trials):
-    scenario = _pair_scenario(group, kind="left_right", system="regular")
+    scenario = _pair_scenario(group, kind="left_right", regular_system=True)
     n = group.order
     u = coherent_frame_change_unitary(scenario, 0, 1)
-    with_system = scenario.system_rep is not None
     h1, h2 = 0, n - 1
     alpha, beta = np.sqrt(0.3), np.sqrt(0.7)
     vec = np.zeros(n, dtype=complex)
     vec[h1] += alpha
     vec[h2] += beta
     vec = vec / np.linalg.norm(vec)
-    if with_system:
-        g0 = int(rng.integers(n))
-        sys_vec = np.zeros(n, dtype=complex)
-        sys_vec[g0] = 1.0
-        vec = np.kron(vec, sys_vec)
+    sys_vec = np.zeros(n, dtype=complex)
+    sys_vec[int(rng.integers(n))] = 1.0
+    vec = np.kron(vec, sys_vec)
     state = np.outer(vec, np.conj(vec))
     moved = frame_change(scenario, 0, 1, state)
     coherent = u @ state @ dagger(u)
-    pvm = scenario.frames[0].povm
-    rest_dim = moved.matrix.shape[0] // n
-    lueders = np.zeros_like(coherent)
-    for x in range(n):
-        p = np.kron(pvm.effect(x), np.eye(rest_dim, dtype=complex))
-        lueders += p @ coherent @ p
+    # the pointer dephasing sum_x (P_x (x) 1) C (P_x (x) 1) keeps the blocks
+    # of C whose pointer indices share a label and zeroes the others
+    labels = scenario.frames[0].povm.labels
+    same = np.kron(labels[:, None] == labels[None, :], np.ones((n, n), dtype=bool))
+    lueders = np.where(same, coherent, 0.0)
     yield moved.class_deviation(coherent)
     yield float(np.max(np.abs(moved.matrix - lueders)))
     return 1
@@ -680,19 +674,17 @@ SUITES: Dict[str, List[str]] = {
 
 
 def available_checks(group: FiniteGroup, names: Sequence[str]) -> List[str]:
-    """Drop checks whose scenarios would exceed the dense-matrix cap."""
-    out = []
-    for name in names:
-        if name == "framechange.composition" and group.order ** 3 > SCENARIO_DIM_CAP:
-            continue
-        out.append(name)
-    return out
+    """The checks among ``names`` that run on ``group``: all of them, since
+    no scenario has a size cap.  Kept for callers that plan a run."""
+    return list(names)
 
 
 def select_checks(suites: Sequence[str]) -> List[str]:
     """The check names of the named suites, in order and without repeats;
     ``all`` anywhere selects every check.  Every name is validated first."""
     keys = [s.strip().lower() for s in suites]
+    if not keys:
+        raise ValueError("no suite selected; name one or 'all'")
     for s, key in zip(suites, keys):
         if key != "all" and key not in SUITES:
             raise ValueError(f"unknown suite {s!r}; choose from {', '.join(SUITES)} or 'all'")
@@ -724,8 +716,8 @@ def run_checks(group: FiniteGroup, suites: Sequence[str] = ("all",), tol: float 
     check's numbers depend on which checks ran before it.  A check that
     raises, or whose deviation is not finite, fails; a raising check's record
     carries the exception under ``error`` and the other checks still run.
-    Raises ``ValueError`` for an unknown suite, ``trials < 1`` or a
-    tolerance that is not finite and non-negative.
+    Raises ``ValueError`` for an unknown suite, an empty selection,
+    ``trials < 1`` or a tolerance that is not finite and non-negative.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -734,7 +726,7 @@ def run_checks(group: FiniteGroup, suites: Sequence[str] = ("all",), tol: float 
     results = []
     token = _RUN_MEMO.set({})
     try:
-        for name in available_checks(group, select_checks(suites)):
+        for name in select_checks(suites):
             claim, fn = CHECKS[name]
             start = time.perf_counter()
             record = {"name": name, "claim": claim}

@@ -21,6 +21,7 @@ from qrframes import (
     canonical_frame,
     classify_frame,
     coherent_state_povm,
+    frame_change,
     left_regular_rep,
     left_right_rep,
     relative_orientation,
@@ -29,10 +30,10 @@ from qrframes import (
     uniform_povm,
     yen_homogeneous,
 )
-from qrframes.builtins import builtin_group, character_rep, permutation_rep
+from qrframes.builtins import builtin_group, character_rep, permutation_rep, standard_system_rep
 from qrframes.groups import CosetSpace, Subgroup
-from qrframes.operators import kron, random_density, random_hermitian
-from qrframes.quantum import canonical_coset_pvm, coset_permutation_rep
+from qrframes.operators import kron, permute_factors, random_density, random_hermitian
+from qrframes.quantum import canonical_coset_pvm, coset_permutation_rep, localizing_state
 
 TOL = 1e-12
 GROUPS = ("z2", "z4", "s3", "q8", "d5")
@@ -155,6 +156,50 @@ def test_scenario_without_system_matches_yen_map(name, frame_kind, rng):
     omega = random_hermitian(rng, group.order ** 2)
     _close(scenario.yen_total(0, a), dense.apply(a))
     _close(scenario.yen_predual_total(0, omega), dense.predual(omega))
+
+
+def _rotated_frame(frame, rng):
+    """The frame conjugated by a random unitary: no labels, no permutations."""
+    g = rng.normal(size=(frame.dim,) * 2) + 1j * rng.normal(size=(frame.dim,) * 2)
+    v = np.linalg.qr(g)[0]
+    rep = rep_from_matrices(frame.group, [v @ u @ v.conj().T for u in frame.rep.matrices])
+    return classify_frame(rep, POVM(frame.povm.space,
+                                    [v @ e @ v.conj().T for e in frame.povm.effects]))
+
+
+def _lifted_frame_change(scenario, src, dst, state, point):
+    """frame_change through the total space: the lift omega (x) state built
+    by kron and permute_factors, the target frame's predual, the projection."""
+    omega = localizing_state(scenario.frames[src], point)
+    order = [src] + scenario.complement(src)
+    inverse = [order.index(k) for k in range(scenario.n_factors)]
+    total = permute_factors(kron(omega, state), [scenario.dims[k] for k in order], inverse)
+    return scenario.framing_context(dst, (src,)).project(scenario.yen_predual_total(dst, total))
+
+
+# rotated frames take the dense path everywhere, so they skip the largest group
+@pytest.mark.parametrize("name,frame_kind", [
+    (name, kind) for name in ("z2", "z3", "s3", "q8") for kind in FRAME_KINDS
+] + [(name, "rotated") for name in ("z2", "z3", "s3")])
+@pytest.mark.parametrize("n_frames", (2, 3))
+@pytest.mark.parametrize("with_system", (False, True))
+def test_frame_change_matches_dense_lift(name, frame_kind, n_frames, with_system, rng):
+    group = builtin_group(name)
+    if frame_kind == "rotated":
+        frames = [_rotated_frame(canonical_frame(group), rng) for _ in range(n_frames)]
+        dense_frames = frames
+    else:
+        frames = [canonical_frame(group, frame_kind) for _ in range(n_frames)]
+        dense_frames = [_dense_frame(f) for f in frames]
+    sys_rep = standard_system_rep(group, 2) if with_system else None
+    fast = MultiFrameScenario(frames, sys_rep)
+    dense = MultiFrameScenario(dense_frames, sys_rep)
+    for src, dst in itertools.permutations(range(n_frames), 2):
+        state = random_density(rng, int(np.prod(fast.complement_dims(src))))
+        for point in (group.identity, group.order - 1):
+            expected = _lifted_frame_change(fast, src, dst, state, point)
+            _close(frame_change(fast, src, dst, state, localize_at=point).matrix, expected)
+            _close(frame_change(dense, src, dst, state, localize_at=point).matrix, expected)
 
 
 @pytest.mark.parametrize("name", GROUPS)

@@ -365,3 +365,21 @@ def test_framed_relative_state_api(z2, rng):
     with pytest.raises(ValueError, match="different framed"):
         other = FramedRelativeState(sc, 1, state, framed=(0,))
         frs.same_class(other)
+
+
+@pytest.mark.parametrize("point", (-1, 3))
+def test_localizing_point_outside_sample_space(z3, point):
+    frame = canonical_frame(z3)
+    with pytest.raises(ValueError, match="outside range"):
+        localizing_state(frame, point)
+    sc = MultiFrameScenario([frame, canonical_frame(z3)], None)
+    with pytest.raises(ValueError, match="outside range"):
+        frame_change(sc, 0, 1, np.eye(3) / 3, localize_at=point)
+
+
+def test_frame_change_rejects_state_of_another_reference(z2, rng):
+    sc = _ideal_pair(z2)
+    state = FramedRelativeState(sc, 1, random_density(rng, 4), framed=(0,))
+    with pytest.raises(ValueError, match="relative to frame 1"):
+        frame_change(sc, 0, 1, state)
+    assert frame_change(sc, 1, 0, state).reference == 0

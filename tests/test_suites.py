@@ -95,3 +95,17 @@ def test_report_shape_matches_fixture(name):
     keys = ("name", "claim", "pass", "trials")
     assert [{k: c[k] for k in keys} for c in report["checks"]] == fixture[name]
     assert all(c["max_deviation"] <= report["tol"] for c in report["checks"])
+
+
+def test_empty_selection_is_rejected():
+    with pytest.raises(ValueError, match="no suite selected"):
+        run_checks(cyclic_group(2), [])
+
+
+def test_s4_frame_change_suite_runs_composition():
+    # s4 pair scenarios keep their system and the three-frame composition
+    # runs: every frame change stays at the size of a complement
+    report = run_checks(builtin_group("s4"), ["frame-change"], trials=1)
+    names = [c["name"] for c in report["checks"]]
+    assert "framechange.composition" in names
+    assert report["summary"] == {"total": 6, "passed": 6, "failed": 0}
