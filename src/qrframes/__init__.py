@@ -28,6 +28,7 @@ from .operators import (
     op_norm,
     partial_trace,
     permute_factors,
+    worst_case,
 )
 from .quantum import (
     CovarianceError,

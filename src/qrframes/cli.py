@@ -79,8 +79,10 @@ def cmd_verify(args) -> int:
             if "error" in rec:
                 print(f"FAIL {rec['name']}: {rec['error']}", file=sys.stderr)
             elif not rec["pass"]:
-                print(f"FAIL {rec['name']}: deviation {rec['max_deviation']:.3e} "
-                      f"> tol {args.tol:.1e}", file=sys.stderr)
+                dev = rec["max_deviation"]
+                verdict = "nan" if np.isnan(dev) else f"{dev:.3e} > tol {args.tol:.1e}"
+                print(f"FAIL {rec['name']}: deviation {verdict} "
+                      f"at {json.dumps(rec['witness'], sort_keys=True)}", file=sys.stderr)
         return 1
     return 0
 

@@ -275,25 +275,16 @@ def coherent_frame_change_unitary(scenario: MultiFrameScenario, src: int = 0,
     return out
 
 
-def operational_agreement(scenario: MultiFrameScenario, state: np.ndarray,
-                          tol: float = DEFAULT_TOL) -> dict:
-    """Compare the operational frame change 0 -> 1 with the coherent unitary
-    pipeline on one input state, at the level of source-framed pairings."""
+def operational_agreement(scenario: MultiFrameScenario, state: np.ndarray) -> float:
+    """Deviation between the operational frame change 0 -> 1 and the coherent
+    unitary pipeline on one input state, at the level of source-framed
+    pairings."""
     state = as_operator(state)
-    changed = frame_change(scenario, 0, 1, state)
     u = coherent_frame_change_unitary(scenario, 0, 1)
-    coherent = u @ state @ np.conj(u).T
-    deviation = changed.class_deviation(coherent)
-    return {
-        "agree": bool(deviation <= tol),
-        "max_deviation": float(deviation),
-        "operational": changed,
-        "coherent": coherent,
-    }
+    return frame_change(scenario, 0, 1, state).class_deviation(u @ state @ np.conj(u).T)
 
 
-def compose_check(scenario: MultiFrameScenario, state: np.ndarray,
-                  tol: float = DEFAULT_TOL) -> dict:
+def compose_check(scenario: MultiFrameScenario, state: np.ndarray) -> float:
     """Deviation between changing from the first frame to the third directly
     and composing through the second, paired against the jointly framed
     generators (slots 0, 1, 2 of the scenario)."""
@@ -305,8 +296,7 @@ def compose_check(scenario: MultiFrameScenario, state: np.ndarray,
     direct = frame_change(scenario, 0, 2, state)
     via = frame_change(scenario, 1, 2, frame_change(scenario, 0, 1, state))
     joint = scenario.framing_context(2, framed=(0, 1))
-    deviation = float(np.max(np.abs(joint.pairings(direct.matrix - via.matrix))))
-    return {"max_deviation": float(deviation), "pass": bool(deviation <= tol)}
+    return float(np.max(np.abs(joint.pairings(direct.matrix - via.matrix))))
 
 
 def triangular_reconstruction(frame1: Frame, frame2: Frame, rho_rel1: np.ndarray,

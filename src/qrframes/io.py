@@ -67,7 +67,7 @@ def _rect(rows, what: str) -> list:
 # ---------------------------------------------------------------------------
 
 def group_to_json(group: FiniteGroup) -> dict:
-    doc = {"order": group.order, "cayley": group.cayley.tolist()}
+    doc = {"order": group.order, "name": group.name, "cayley": group.cayley.tolist()}
     if group.labels is not None:
         doc["labels"] = list(group.labels)
     return doc

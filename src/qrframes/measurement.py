@@ -6,6 +6,10 @@ unitary interaction; the scheme reproduces a target observable when pointer
 statistics after the interaction match the target statistics on every input
 state.  Both conditions are checked as exact operator identities obtained by
 conditioning on the pointer state, so no state sampling is needed.
+
+Each checker is a generator that yields one ``(deviation, where)`` pair per
+outcome (and per rotation h), ``where`` naming it; ``operators.worst_case``
+drains it into the worst deviation, the trial count and the witness.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .groups import FiniteGroup
-from .operators import DEFAULT_TOL, as_operator, dagger, is_density, op_norm, worst_of
+from .operators import DEFAULT_TOL, as_operator, dagger, is_density, op_norm, worst_case
 from .quantum import (
     Frame,
     POVM,
@@ -78,55 +82,44 @@ class MeasurementScheme:
         return [x for x in range(self.pointer_povm.size) if self.outcome_map[x] == y]
 
 
-def check_prc(scheme: MeasurementScheme, tol: float = DEFAULT_TOL) -> dict:
+def check_prc(scheme: MeasurementScheme):
     """Probability reproducibility: conditioning the evolved pointer effect on
-    the pointer state must return the target effect, for every outcome."""
-    worst = 0.0
+    the pointer state must return the target effect, for every outcome y."""
     for y in range(scheme.target.size):
         lhs = restrict(scheme.pointer_state, scheme.evolved_pointer_effect(scheme.preimage(y)))
-        worst = worst_of(worst, op_norm(lhs - scheme.target.effect(y)))
-    return {"max_deviation": float(worst), "pass": bool(worst <= tol),
-            "outcomes": scheme.target.size}
+        yield op_norm(lhs - scheme.target.effect(y)), {"y": y}
 
 
-def commutation_deviation(scheme: MeasurementScheme, rep_r: UnitaryRep) -> tuple:
-    """Worst-case || [U, U_R(g) (x) 1] || and the element attaining it."""
+def commutation_deviation(scheme: MeasurementScheme, rep_r: UnitaryRep):
+    """Yield || [U, U_R(g) (x) 1] || for every frame rotation g."""
     d_s = scheme.target.dim
-    worst, worst_g = 0.0, rep_r.group.identity
     for g in rep_r.group.elements():
         ug = np.kron(rep_r.mat(g), np.eye(d_s, dtype=complex))
-        dev = op_norm(scheme.interaction @ ug - ug @ scheme.interaction)
-        if dev > worst:
-            worst, worst_g = dev, g
-    return worst, worst_g
+        yield op_norm(scheme.interaction @ ug - ug @ scheme.interaction), {"g": g}
 
 
-def check_rrc(scheme: MeasurementScheme, rep_r: UnitaryRep, tol: float = DEFAULT_TOL) -> dict:
+def check_rrc(scheme: MeasurementScheme, rep_r: UnitaryRep, tol: float = DEFAULT_TOL):
     """Relational reproducibility: rotating the pointer preparation to
     U(h) omega U(h)^dag while rotating the read-out set to h.X must leave the
-    reproduced statistics unchanged, for every h.
+    reproduced statistics unchanged, for every h and outcome y.
 
-    Requires the interaction to commute with frame rotations; the rotated
-    preparation moves the pointer's localization from e to h.
+    Requires the interaction to commute with frame rotations up to ``tol``;
+    the rotated preparation moves the pointer's localization from e to h.
     """
-    dev, worst_g = commutation_deviation(scheme, rep_r)
-    if dev > tol:
+    dev, _, where = worst_case(commutation_deviation(scheme, rep_r))
+    if not dev <= tol:
         raise PreconditionError(
-            f"interaction does not commute with frame rotations (worst at g={worst_g})", dev
+            f"interaction does not commute with frame rotations (worst at g={where['g']})", dev
         )
-    worst = 0.0
     for h in rep_r.group.elements():
         omega_h = rep_r.act_op(h, scheme.pointer_state)
         for y in range(scheme.target.size):
             shifted = [scheme.pointer_povm.act(h, x) for x in scheme.preimage(y)]
             lhs = restrict(omega_h, scheme.evolved_pointer_effect(shifted))
-            worst = worst_of(worst, op_norm(lhs - scheme.target.effect(y)))
-    return {"max_deviation": float(worst), "pass": bool(worst <= tol),
-            "pairs": rep_r.group.order * scheme.target.size}
+            yield op_norm(lhs - scheme.target.effect(y)), {"h": h, "y": y}
 
 
-def rrc_relative_orientation(frame_r: Frame, system: Frame,
-                             tol: float = DEFAULT_TOL) -> dict:
+def rrc_relative_orientation(frame_r: Frame, system: Frame):
     """Exact relational reproducibility of the relative-orientation observable.
 
     With the pointer localized at the identity, for every h and every sample
@@ -139,15 +132,11 @@ def rrc_relative_orientation(frame_r: Frame, system: Frame,
         )
     orientation = relative_orientation(frame_r, system)
     omega = localizing_state(frame_r, frame_r.group.identity)
-    worst = 0.0
     for h in frame_r.group.elements():
         omega_h = frame_r.rep.act_state(h, omega)
         for x in range(system.povm.size):
-            hx = orientation.act(h, x)
-            lhs = restrict(omega_h, orientation.effect(hx))
-            worst = worst_of(worst, op_norm(lhs - system.povm.effect(x)))
-    return {"max_deviation": float(worst), "pass": bool(worst <= tol),
-            "pairs": frame_r.group.order * system.povm.size}
+            lhs = restrict(omega_h, orientation.effect(orientation.act(h, x)))
+            yield op_norm(lhs - system.povm.effect(x)), {"h": h, "x": x}
 
 
 def canonical_scheme(group: FiniteGroup) -> MeasurementScheme:

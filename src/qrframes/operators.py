@@ -10,7 +10,8 @@ tensor product.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import math
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -161,14 +162,28 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.sum(np.conj(a) * b))
 
 
-def worst_of(*deviations: float) -> float:
-    """The largest of the deviations, and NaN if any of them is NaN.
+def worst_case(deviations: Iterator) -> Tuple[float, int, Optional[dict]]:
+    """Drain a generator of deviations into ``(worst, trials, witness)``.
 
-    The built-in ``max`` keeps whichever argument comes first when the other
-    is NaN, so ``max(0.0, nan) == 0.0`` and a failed trial would vanish from
-    a running maximum.
+    A yield is a float or a ``(float, where)`` pair; a bare float's ``where``
+    is ``{"index": i}``.  ``worst`` is the largest of 0.0 and the deviations,
+    NaN if any is NaN (the built-in ``max(0.0, nan)`` is 0.0); ``trials``
+    counts the yields unless the generator returns a count; ``witness`` is the
+    ``where`` of the first yield with the largest deviation, NaN beating any
+    number, or None if nothing was yielded.
     """
-    return float(np.max(deviations))
+    top, witness, count = -math.inf, None, 0
+    while True:
+        try:
+            item = next(deviations)
+        except StopIteration as stop:
+            trials = count if stop.value is None else int(stop.value)
+            return (top if math.isnan(top) else max(0.0, top)), trials, witness
+        dev, where = item if isinstance(item, tuple) else (item, {"index": count})
+        dev = float(dev)
+        if count == 0 or dev > top or (math.isnan(dev) and not math.isnan(top)):
+            top, witness = dev, where
+        count += 1
 
 
 def op_norm(a: np.ndarray) -> float:

@@ -22,7 +22,7 @@ from .operators import (
     is_hermitian,
     op_norm,
     pair_trace,
-    worst_of,
+    worst_case,
 )
 
 
@@ -376,17 +376,20 @@ def canonical_coset_pvm(cosets: CosetSpace) -> POVM:
 # Covariance and frame classification
 # ---------------------------------------------------------------------------
 
-def covariance_deviation(povm: POVM, rep: UnitaryRep, action=None) -> float:
-    """max over (g, x) of || U(g) E(x) U(g)^dag - E(g.x) ||."""
+def covariance_deviations(povm: POVM, rep: UnitaryRep, action=None):
+    """Yield || U(g) E(x) U(g)^dag - E(g.x) || for every pair (g, x)."""
     if rep.dim != povm.dim:
         raise ValueError("representation and POVM dimensions differ")
     act = action if action is not None else povm.act
-    worst = 0.0
     for g in rep.group.elements():
         for x in range(povm.size):
             dev = op_norm(rep.act_op(g, povm.effect(x)) - povm.effect(act(g, x)))
-            worst = worst_of(worst, dev)
-    return worst
+            yield dev, {"g": g, "x": x}
+
+
+def covariance_deviation(povm: POVM, rep: UnitaryRep, action=None) -> float:
+    """max over (g, x) of || U(g) E(x) U(g)^dag - E(g.x) ||."""
+    return worst_case(covariance_deviations(povm, rep, action))[0]
 
 
 def is_covariant(povm: POVM, rep: UnitaryRep, action=None, tol: float = DEFAULT_TOL) -> bool:

@@ -2,15 +2,16 @@
 named checks that report their worst deviation.
 
 A check is a generator function of (group, rng, tol, trials) that yields one
-deviation per trial.  The runner drains it: it keeps the largest deviation,
-NaN if any trial was NaN, and counts the yields as the check's trials.  A
-check whose natural trial count is not its number of deviations (one
-covariance deviation over order**2 group pairs, say) ends with ``return n``
-and the runner reports ``n`` instead.  The runner executes a selection one
-check after another and assembles a deterministic report ordered by check
-name.  It rejects, with ``ValueError`` (exit code 2 from the CLI), an unknown
-suite name, an empty selection, fewer than one trial and a tolerance that is
-not finite and non-negative: each would make a pass vacuous.
+deviation per trial: a float, or a ``(float, where)`` pair whose ``where`` is
+a small dict of ints naming the trial, such as ``{"h": 2, "y": 5}``.  The
+runner drains it with ``operators.worst_case`` into the largest deviation
+(NaN if any trial was NaN), the trial count (the number of yields, or the
+``n`` of a closing ``return n``) and the witness: the ``where`` of the first
+yield with the largest deviation, ``{"index": i}`` for a bare float.  It runs
+a selection one check after another and assembles a deterministic report
+ordered by check name.  It rejects, with ``ValueError`` (exit code 2 from the
+CLI), an unknown suite name, an empty selection, fewer than one trial and a
+tolerance that is not finite and non-negative: each would make a pass vacuous.
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ from .builtins import standard_system_rep
 from .framechange import (
     MultiFrameScenario,
     coherent_frame_change_unitary,
+    compose_check,
     frame_change,
+    operational_agreement,
     triangular_reconstruction,
 )
 from .groups import FiniteGroup
@@ -51,13 +54,13 @@ from .operators import (
     random_density,
     random_hermitian,
     random_pure_state,
-    worst_of,
+    worst_case,
 )
 from .quantum import (
     born,
     canonical_frame,
     classify_frame,
-    covariance_deviation,
+    covariance_deviations,
     left_regular_rep,
     left_right_rep,
     localizing_state,
@@ -94,8 +97,7 @@ def _pair_scenario(group: FiniteGroup, kind: str = "left_regular",
 
 def check_covariance(group, rng, tol, trials, kind):
     frame = canonical_frame(group, kind)
-    yield covariance_deviation(frame.povm, frame.rep)
-    return group.order ** 2
+    yield from covariance_deviations(frame.povm, frame.rep)
 
 
 def check_classification(group, rng, tol, trials):
@@ -107,13 +109,13 @@ def check_classification(group, rng, tol, trials):
 
 def check_born_equivariance(group, rng, tol, trials):
     frame = canonical_frame(group)
-    for _ in range(trials):
+    for t in range(trials):
         rho = random_density(rng, frame.dim)
         mu = born(frame.povm, rho)
         for h in group.elements():
             shifted = born(frame.povm, frame.rep.act_state(h, rho))
             expected = np.array([mu[frame.povm.act(h, x)] for x in range(frame.povm.size)])
-            yield float(np.max(np.abs(shifted - expected)))
+            yield float(np.max(np.abs(shifted - expected))), {"trial": t, "h": h}
     return trials
 
 
@@ -128,10 +130,10 @@ def check_yen_invariance(group, rng, tol, trials):
     sys_rep = left_regular_rep(group) if group.order <= 12 else standard_system_rep(group, 2)
     ym = YenMap(frame, sys_rep)
     diag = frame.rep.tensor(sys_rep)
-    for b in HermitianBasis(sys_rep.dim).matrices:
+    for i, b in enumerate(HermitianBasis(sys_rep.dim).matrices):
         image = ym.apply(b)
         for h in group.elements():
-            yield op_norm(diag.act_op(h, image) - image)
+            yield op_norm(diag.act_op(h, image) - image), {"basis": i, "h": h}
 
 
 def check_yen_unital(group, rng, tol, trials):
@@ -268,7 +270,7 @@ def check_distribution_dependence(group, rng, tol, trials):
 def check_product_state_symmetry(group, rng, tol, trials):
     frame = canonical_frame(group)
     sys_rep = standard_system_rep(group, 2)
-    for _ in range(trials):
+    for t in range(trials):
         omega = random_density(rng, frame.dim)
         rho = random_density(rng, sys_rep.dim)
         for h in group.elements():
@@ -276,7 +278,7 @@ def check_product_state_symmetry(group, rng, tol, trials):
             rhs = product_relative_state(
                 frame, sys_rep, omega, sys_rep.act_state(group.inv(h), rho)
             )
-            yield op_norm(lhs - rhs)
+            yield op_norm(lhs - rhs), {"trial": t, "h": h}
 
 
 def check_invariant_system_state(group, rng, tol, trials):
@@ -312,7 +314,7 @@ def check_orientation_delta(group, rng, tol, trials):
         mu = born(orientation, state)
         expected = np.zeros(group.order)
         expected[h] = 1.0
-        yield float(np.max(np.abs(mu - expected)))
+        yield float(np.max(np.abs(mu - expected))), {"h": h}
 
 
 def check_orientation_swap(group, rng, tol, trials):
@@ -323,7 +325,7 @@ def check_orientation_swap(group, rng, tol, trials):
     dims = (f2.dim, f1.dim)
     for x in group.elements():
         swapped = permute_factors(b.effect(group.inv(x)), dims, [1, 0])
-        yield float(np.max(np.abs(a.effect(x) - swapped)))
+        yield float(np.max(np.abs(a.effect(x) - swapped))), {"x": x}
 
 
 def check_orientation_convolution(group, rng, tol, trials):
@@ -417,17 +419,15 @@ def check_fc_ket_transform(group, rng, tol, trials):
         moved = frame_change(scenario, 0, 1, state)
         inv = group.inv(h2)
         expected = _ket([inv, group.mul(h3, inv)], group.order)
-        yield float(np.max(np.abs(moved.matrix - expected)))
+        yield float(np.max(np.abs(moved.matrix - expected))), {"h2": h2, "h3": h3}
 
 
 def check_fc_composition(group, rng, tol, trials):
-    from .framechange import compose_check
-
     frames = [canonical_frame(group) for _ in range(3)]
     scenario = MultiFrameScenario(frames, None)
     for _ in range(max(3, trials // 4)):
         state = random_density(rng, int(np.prod(scenario.complement_dims(0))))
-        yield compose_check(scenario, state)["max_deviation"]
+        yield compose_check(scenario, state)
 
 
 # ---------------------------------------------------------------------------
@@ -435,21 +435,19 @@ def check_fc_composition(group, rng, tol, trials):
 # ---------------------------------------------------------------------------
 
 def check_agreement_states(group, rng, tol, trials):
-    from .framechange import operational_agreement
-
     scenario = _pair_scenario(group, kind="left_right")
     dim = int(np.prod(scenario.complement_dims(0)))
     for t in range(trials):
         state = random_pure_state(rng, dim) if t % 2 == 0 else random_density(rng, dim)
-        yield operational_agreement(scenario, state)["max_deviation"]
+        yield operational_agreement(scenario, state)
 
 
 def check_agreement_kets(group, rng, tol, trials):
     scenario = _pair_scenario(group, kind="left_right", regular_system=True)
     u = coherent_frame_change_unitary(scenario, 0, 1)
-    for _, state in _basis_kets(group, rng, trials):
+    for (h2, h3), state in _basis_kets(group, rng, trials):
         moved = frame_change(scenario, 0, 1, state)
-        yield float(np.max(np.abs(moved.matrix - u @ state @ dagger(u))))
+        yield float(np.max(np.abs(moved.matrix - u @ state @ dagger(u)))), {"h2": h2, "h3": h3}
 
 
 def check_agreement_lueders(group, rng, tol, trials):
@@ -483,21 +481,15 @@ def check_agreement_lueders(group, rng, tol, trials):
 # ---------------------------------------------------------------------------
 
 def check_measurement_prc(group, rng, tol, trials):
-    report = check_prc(canonical_scheme(group), tol)
-    yield report["max_deviation"]
-    return report["outcomes"]
+    yield from check_prc(canonical_scheme(group))
 
 
 def check_measurement_rrc(group, rng, tol, trials):
-    report = check_rrc(canonical_scheme(group), left_regular_rep(group), tol)
-    yield report["max_deviation"]
-    return report["pairs"]
+    yield from check_rrc(canonical_scheme(group), left_regular_rep(group), tol)
 
 
 def check_measurement_orientation(group, rng, tol, trials):
-    report = rrc_relative_orientation(canonical_frame(group), canonical_frame(group), tol)
-    yield report["max_deviation"]
-    return report["pairs"]
+    yield from rrc_relative_orientation(canonical_frame(group), canonical_frame(group))
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +524,7 @@ def check_reconstruction_localized(group, rng, tol, trials):
         rho = random_density(rng, sys_rep.dim)
         omega = kron(localizing_state(f1, group.identity),
                      f2.rep.act_state(group.inv(h), localizing_state(f2, group.identity)))
-        yield op_norm(reconstruct(rho, omega) - sys_rep.act_state(h, rho))
+        yield op_norm(reconstruct(rho, omega) - sys_rep.act_state(h, rho)), {"h": h}
 
 
 def check_reconstruction_invariant(group, rng, tol, trials):
@@ -693,20 +685,6 @@ def select_checks(suites: Sequence[str]) -> List[str]:
     return list(dict.fromkeys(n for key in keys for n in SUITES[key]))
 
 
-def _drain(deviations: Iterator[float]) -> Tuple[float, int]:
-    """The largest of 0.0 and the deviations a check yields, NaN if any is
-    NaN, and its trial count: the number of yields, or the value the check
-    returns."""
-    worst, count = 0.0, 0
-    while True:
-        try:
-            dev = next(deviations)
-        except StopIteration as stop:
-            return worst, count if stop.value is None else int(stop.value)
-        worst = worst_of(worst, dev)
-        count += 1
-
-
 def run_checks(group: FiniteGroup, suites: Sequence[str] = ("all",), tol: float = 1e-9,
                seed: int = 0, trials: int = 20) -> dict:
     """Run the selected suites against one group, in order, and assemble a report.
@@ -715,7 +693,8 @@ def run_checks(group: FiniteGroup, suites: Sequence[str] = ("all",), tol: float 
     every check derives its own generator from the seed and its name, so no
     check's numbers depend on which checks ran before it.  A check that
     raises, or whose deviation is not finite, fails; a raising check's record
-    carries the exception under ``error`` and the other checks still run.
+    carries the exception under ``error`` and a null ``witness``, and the
+    other checks still run.
     Raises ``ValueError`` for an unknown suite, an empty selection,
     ``trials < 1`` or a tolerance that is not finite and non-negative.
     """
@@ -731,12 +710,12 @@ def run_checks(group: FiniteGroup, suites: Sequence[str] = ("all",), tol: float 
             start = time.perf_counter()
             record = {"name": name, "claim": claim}
             try:
-                dev, count = _drain(fn(group, _rng_for(seed, name), tol, trials))
+                dev, count, witness = worst_case(fn(group, _rng_for(seed, name), tol, trials))
             except Exception as exc:  # a check that raises fails alone
                 record["error"] = f"{type(exc).__name__}: {exc}"
-                dev, count = math.nan, 0
+                dev, count, witness = math.nan, 0, None
             record.update({"pass": math.isfinite(dev) and dev <= tol, "max_deviation": dev,
-                           "trials": count,
+                           "trials": count, "witness": witness,
                            "runtime_ms": round((time.perf_counter() - start) * 1000.0, 3)})
             results.append(record)
     finally:

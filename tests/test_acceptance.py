@@ -47,6 +47,7 @@ from qrframes.operators import (
     permute_factors,
     random_density,
     random_hermitian,
+    worst_case,
 )
 
 SUITE_GROUPS = {
@@ -216,14 +217,12 @@ def test_criterion_06_frame_change_map_laws():
     z2 = SUITE_GROUPS["z2"]
     sc3 = MultiFrameScenario([canonical_frame(z2) for _ in range(3)], None)
     for _ in range(10):
-        worst_comp = max(worst_comp, compose_check(
-            sc3, random_density(rng, 4))["max_deviation"])
+        worst_comp = max(worst_comp, compose_check(sc3, random_density(rng, 4)))
     z3 = SUITE_GROUPS["z3"]
     sc3b = MultiFrameScenario([canonical_frame(z3) for _ in range(3)],
                               standard_system_rep(z3, 3))
     for _ in range(10):
-        worst_comp = max(worst_comp, compose_check(
-            sc3b, random_density(rng, 27))["max_deviation"])
+        worst_comp = max(worst_comp, compose_check(sc3b, random_density(rng, 27)))
     ok = max(worst_wd, worst_diag, worst_inv, worst_comp) <= 1e-9
     _report("criterion 6 (frame-change map laws)", ok,
             f"well-definedness {worst_wd:.2e}, diagram {worst_diag:.2e}, "
@@ -257,8 +256,7 @@ def test_criterion_07_operational_agreement():
             state = np.outer(v, np.conj(v))
         else:
             state = random_density(rng, dim)
-        worst_state = max(worst_state, operational_agreement(
-            scenario, state)["max_deviation"])
+        worst_state = max(worst_state, operational_agreement(scenario, state))
     # superposed second frame: operational output is the pointer dephasing of
     # the coherent output, and class-equal to it
     alpha, beta = np.sqrt(0.3), np.sqrt(0.7)
@@ -307,10 +305,10 @@ def test_criterion_09_measurement():
     worst_prc = worst_rrc = worst_orient = 0.0
     for name, group in SUITE_GROUPS.items():
         scheme = canonical_scheme(group)
-        worst_prc = max(worst_prc, check_prc(scheme)["max_deviation"])
-        worst_rrc = max(worst_rrc, check_rrc(scheme, left_regular_rep(group))["max_deviation"])
-        worst_orient = max(worst_orient, rrc_relative_orientation(
-            canonical_frame(group), canonical_frame(group))["max_deviation"])
+        worst_prc = max(worst_prc, worst_case(check_prc(scheme))[0])
+        worst_rrc = max(worst_rrc, worst_case(check_rrc(scheme, left_regular_rep(group)))[0])
+        worst_orient = max(worst_orient, worst_case(rrc_relative_orientation(
+            canonical_frame(group), canonical_frame(group)))[0])
     ok = max(worst_prc, worst_rrc, worst_orient) <= 1e-10
     _report("criterion 9 (measurement reproducibility)", ok,
             f"prc {worst_prc:.2e}, rrc {worst_rrc:.2e}, orientation {worst_orient:.2e}")

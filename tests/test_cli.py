@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from qrframes import suites
+from qrframes.builtins import builtin_group
 from qrframes.cli import main
-from qrframes.io import dump_json, operator_to_json
+from qrframes.io import dump_json, group_to_json, operator_to_json
 from qrframes import cyclic_group, g_twirl_predual, left_regular_rep
 from qrframes.operators import random_density
 
@@ -71,6 +73,31 @@ def test_verify_failing_tolerance(tmp_path):
     assert code == 1
     report = json.loads(out.read_text())
     assert report["summary"]["failed"] >= 1
+
+
+@pytest.mark.parametrize("deviation, verdict", (
+    (0.5, "deviation 5.000e-01 > tol 1.0e-09"),
+    (float("nan"), "deviation nan"),
+), ids=("number", "nan"))
+def test_verify_failure_line_names_the_witness(monkeypatch, capsys, deviation, verdict):
+    claim, _ = suites.CHECKS["yen.unital"]
+    monkeypatch.setitem(suites.CHECKS, "yen.unital",
+                        (claim, lambda *args: iter([0.0, (deviation, {"h": 1, "y": 0})])))
+    assert run(["verify", "--group", "builtin:z2", "--suite", "yen-invariance"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f'FAIL yen.unital: {verdict} at {{"h": 1, "y": 0}}']
+    record = next(c for c in json.loads(captured.out)["checks"] if c["name"] == "yen.unital")
+    assert record["witness"] == {"h": 1, "y": 0}
+
+
+def test_verify_group_file_written_by_the_library(tmp_path):
+    # the encoder keeps the group's name, which picks its system rep
+    path = tmp_path / "d3.json"
+    dump_json(group_to_json(builtin_group("d3")), path)
+    assert json.loads(path.read_text())["name"] == "d3"
+    assert run(["verify", "--group", str(path), "--suite", "all",
+                "--out", str(tmp_path / "report.json")]) == 0
 
 
 def test_report_deterministic(tmp_path):

@@ -18,6 +18,7 @@ from qrframes import (
     rrc_relative_orientation,
     symmetric_group,
     uniform_povm,
+    worst_case,
 )
 from qrframes.operators import random_density
 from qrframes.quantum import GroupSpace
@@ -29,15 +30,13 @@ GROUPS = [cyclic_group(2), cyclic_group(4), symmetric_group(3), dihedral_group(4
 @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.name)
 def test_canonical_scheme_prc_exact(group):
     scheme = canonical_scheme(group)
-    report = check_prc(scheme)
-    assert report["max_deviation"] <= 1e-10
+    assert worst_case(check_prc(scheme))[0] <= 1e-10
 
 
 @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.name)
 def test_canonical_scheme_rrc_exact(group):
     scheme = canonical_scheme(group)
-    report = check_rrc(scheme, left_regular_rep(group))
-    assert report["max_deviation"] <= 1e-10
+    assert worst_case(check_rrc(scheme, left_regular_rep(group)))[0] <= 1e-10
 
 
 def test_prc_statistics_match_state_sampling(s3, rng):
@@ -67,7 +66,7 @@ def test_decoupled_scheme_constant_target(z3):
         outcome_map=list(range(3)),
         target=target,
     )
-    assert check_prc(scheme)["max_deviation"] <= 1e-12
+    assert worst_case(check_prc(scheme))[0] <= 1e-12
 
 
 def test_perturbed_pointer_state_breaks_prc(z3):
@@ -80,12 +79,35 @@ def test_perturbed_pointer_state_breaks_prc(z3):
         outcome_map=scheme.outcome_map,
         target=scheme.target,
     )
-    assert check_prc(perturbed)["max_deviation"] > 1e-3
+    assert worst_case(check_prc(perturbed))[0] > 1e-3
+
+
+def test_prc_witness_is_the_worst_outcome(z3):
+    # The canonical scheme's PRC deviation is max(1 - p_e, max_{g != e} p_g)
+    # at every outcome, whatever the pointer state, so the witness is pinned
+    # on the decoupled scheme: there the deviation at y is |p'_y - p_y|.
+    rep = left_regular_rep(z3)
+    pointer = canonical_pvm(rep)
+    mu = born(pointer, np.diag([0.5, 0.3, 0.2]).astype(complex))
+    drift = np.diag([0.4, 0.45, 0.15]).astype(complex)
+    scheme = MeasurementScheme(
+        interaction=np.eye(9, dtype=complex),
+        pointer_povm=pointer,
+        pointer_state=drift,
+        outcome_map=list(range(3)),
+        target=POVM(GroupSpace(z3), [m * np.eye(3, dtype=complex) for m in mu]),
+    )
+    per_outcome = np.abs(np.diag(drift).real - mu)
+    assert len(set(np.round(per_outcome, 12))) == 3
+    worst, trials, witness = worst_case(check_prc(scheme))
+    assert witness == {"y": int(np.argmax(per_outcome))}
+    assert worst == pytest.approx(per_outcome.max())
+    assert trials == 3
 
 
 def test_rrc_at_identity_is_prc(s3):
     scheme = canonical_scheme(s3)
-    prc = check_prc(scheme)
+    prc_worst = worst_case(check_prc(scheme))[0]
     rep = left_regular_rep(s3)
     # restricting the relational check to h = e reproduces the plain one
     omega = scheme.pointer_state
@@ -97,7 +119,7 @@ def test_rrc_at_identity_is_prc(s3):
         lhs = restrict(omega, lhs_ops)
         worst = max(worst, np.max(np.abs(lhs - scheme.target.effect(y))))
     assert worst <= 1e-10
-    assert prc["pass"]
+    assert prc_worst <= 1e-9
 
 
 def test_rrc_rejects_non_commuting_interaction(z3):
@@ -114,16 +136,19 @@ def test_rrc_rejects_non_commuting_interaction(z3):
         outcome_map=scheme.outcome_map,
         target=scheme.target,
     )
-    with pytest.raises(PreconditionError, match="commute"):
-        check_rrc(swapped, left_regular_rep(z3))
+    # per-element commutator norms are [0, sqrt 3, sqrt 3]: the first
+    # largest, g=1, is the witness
+    with pytest.raises(PreconditionError, match="commute") as err:
+        worst_case(check_rrc(swapped, left_regular_rep(z3)))
+    assert "g=1" in str(err.value)
+    assert err.value.deviation == pytest.approx(np.sqrt(3))
 
 
 @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.name)
 def test_rrc_relative_orientation_exact(group):
     frame = canonical_frame(group)
     system = canonical_frame(group)
-    report = rrc_relative_orientation(frame, system)
-    assert report["max_deviation"] <= 1e-10
+    assert worst_case(rrc_relative_orientation(frame, system))[0] <= 1e-10
 
 
 def test_rrc_relative_orientation_sampled_statistics(z4, rng):
@@ -149,7 +174,7 @@ def test_rrc_relative_orientation_needs_localizable(z3):
     rep = left_regular_rep(z3)
     fuzzy = classify_frame(rep, uniform_povm(rep))
     with pytest.raises(UnsupportedFrameError):
-        rrc_relative_orientation(fuzzy, canonical_frame(z3))
+        worst_case(rrc_relative_orientation(fuzzy, canonical_frame(z3)))
 
 
 def test_scheme_validation():

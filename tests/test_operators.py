@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,48 @@ from qrframes import (
     op_norm,
     partial_trace,
     permute_factors,
+    worst_case,
 )
 from qrframes.operators import dagger, pair_trace, random_density, random_hermitian
+
+
+def _yielding(items, returns=None):
+    yield from items
+    return returns
+
+
+def test_worst_case_first_of_tied_deviations_is_the_witness():
+    assert worst_case(_yielding([0.1, (0.5, {"h": 1}), (0.5, {"h": 2}), 0.5])) == (
+        0.5, 4, {"h": 1})
+
+
+def test_worst_case_nan_beats_a_larger_number_and_names_its_yield():
+    worst, trials, witness = worst_case(_yielding([(7.0, {"g": 0}), (float("nan"), {"g": 1}),
+                                                   (9.0, {"g": 2}), float("nan")]))
+    assert math.isnan(worst)
+    assert (trials, witness) == (4, {"g": 1})
+
+
+def test_worst_case_only_negative_deviations_keep_the_floor_and_a_witness():
+    # the floor is 0.0, but the witness is the first argmax over the yields
+    assert worst_case(_yielding([-3.0, -0.5, -1.0, -0.5])) == (0.0, 4, {"index": 1})
+
+
+def test_worst_case_mixed_bare_and_located_yields():
+    # a bare float is located by its index among all yields
+    assert worst_case(_yielding([(0.1, {"y": 0}), 0.4, (0.2, {"y": 2})])) == (
+        0.4, 3, {"index": 1})
+    assert worst_case(_yielding([0.1, 0.2, (0.3, {"h": 0, "y": 4})])) == (
+        0.3, 3, {"h": 0, "y": 4})
+
+
+def test_worst_case_return_value_overrides_the_count():
+    assert worst_case(_yielding([0.25, 0.5], returns=12)) == (0.5, 12, {"index": 1})
+
+
+def test_worst_case_empty_generator():
+    assert worst_case(_yielding([])) == (0.0, 0, None)
+    assert worst_case(_yielding([], returns=3)) == (0.0, 3, None)
 
 
 def test_kron_identity_blocks():

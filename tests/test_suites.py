@@ -83,7 +83,20 @@ def test_raising_check_fails_alone(monkeypatch, runs):
     # every other record keeps the exact keys of a passing report
     for rec in records.values():
         assert rec["pass"] is True
-        assert set(rec) == {"name", "claim", "pass", "max_deviation", "trials", "runtime_ms"}
+        assert set(rec) == {"name", "claim", "pass", "max_deviation", "trials", "runtime_ms",
+                            "witness"}
+    assert broken["witness"] is None
+
+
+def test_record_carries_the_witness_of_the_worst_yield(monkeypatch):
+    claim, _ = suites.CHECKS["yen.unital"]
+    monkeypatch.setitem(suites.CHECKS, "yen.unital",
+                        (claim, lambda *args: iter([0.1, (0.5, {"h": 3}), 0.2])))
+    report = run_checks(cyclic_group(2), ("yen-invariance",), tol=1.0)
+    record = next(c for c in report["checks"] if c["name"] == "yen.unital")
+    assert record["max_deviation"] == 0.5
+    assert record["witness"] == {"h": 3}
+    assert record["trials"] == 3 and record["pass"] is True
 
 
 @pytest.mark.parametrize("name", ("z3", "s3"))
