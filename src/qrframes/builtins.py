@@ -64,28 +64,10 @@ def standard_rep_symmetric(group: FiniteGroup) -> UnitaryRep:
 
 
 def sign_rep(group: FiniteGroup, extra_dim: int = 2) -> UnitaryRep:
-    """diag(1, sgn(pi)) representation of a symmetric group."""
-    perms = getattr(group, "permutations", None)
-    if perms is None:
-        raise ValueError("sign_rep needs a group built by symmetric_group")
-
-    def sign(p):
-        seen = [False] * len(p)
-        s = 1
-        for i in range(len(p)):
-            if seen[i]:
-                continue
-            length = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = p[j]
-                length += 1
-            if length % 2 == 0:
-                s = -s
-        return s
-
-    mats = [np.diag([1.0] + [float(sign(p))] * (extra_dim - 1)) for p in perms]
+    """diag(1, sgn(pi)) representation of a symmetric group; the sign is the
+    determinant of the permutation matrix."""
+    signs = np.rint(np.linalg.det(permutation_rep(group).matrices).real)
+    mats = [np.diag([1.0] + [s] * (extra_dim - 1)) for s in signs]
     return UnitaryRep(group, mats, kind="custom", validate=True)
 
 
@@ -116,6 +98,14 @@ def quaternion_2d_rep(group: FiniteGroup) -> UnitaryRep:
     return UnitaryRep(group, table, kind="custom", validate=True)
 
 
+def _pad_to_three(rep: UnitaryRep) -> UnitaryRep:
+    """The 2-dim ``rep`` direct sum the 1-dim trivial rep."""
+    mats = np.zeros((rep.group.order, 3, 3), dtype=complex)
+    mats[:, :2, :2] = rep.matrices
+    mats[:, 2, 2] = 1.0
+    return UnitaryRep(rep.group, mats, kind="custom", validate=False)
+
+
 def standard_system_rep(group: FiniteGroup, dim: int = 2) -> UnitaryRep:
     """A small concrete representation of a builtin group at the given
     dimension (2 or 3), used as the system factor in verification suites."""
@@ -123,13 +113,6 @@ def standard_system_rep(group: FiniteGroup, dim: int = 2) -> UnitaryRep:
     if name.startswith("z"):
         n = group.order
         return character_rep(group, [k % n for k in range(dim)])
-    if name.startswith("d"):
-        if dim == 2:
-            return dihedral_standard_rep(group)
-        base = dihedral_standard_rep(group)
-        mats = [np.block([[base.mat(g), np.zeros((2, 1))], [np.zeros((1, 2)), np.ones((1, 1))]])
-                for g in group.elements()]
-        return UnitaryRep(group, mats, kind="custom", validate=False)
     if name.startswith("s"):
         n = int(name[1])
         if dim == n - 1:
@@ -137,11 +120,7 @@ def standard_system_rep(group: FiniteGroup, dim: int = 2) -> UnitaryRep:
         if dim == n:
             return permutation_rep(group)
         return sign_rep(group, extra_dim=dim)
-    if name == "q8":
-        if dim == 2:
-            return quaternion_2d_rep(group)
-        base = quaternion_2d_rep(group)
-        mats = [np.block([[base.mat(g), np.zeros((2, 1))], [np.zeros((1, 2)), np.ones((1, 1))]])
-                for g in group.elements()]
-        return UnitaryRep(group, mats, kind="custom", validate=False)
+    if name.startswith("d") or name == "q8":
+        base = dihedral_standard_rep(group) if name.startswith("d") else quaternion_2d_rep(group)
+        return base if dim == 2 else _pad_to_three(base)
     raise ValueError(f"no standard system representation for group {name!r} at dim {dim}")

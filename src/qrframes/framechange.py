@@ -104,8 +104,7 @@ class MultiFrameScenario:
         blocks = _extract(self.frames[j].povm, omega, self.dims, j)
         return self.rest_rep(j).orbit(blocks, dual=True).sum(axis=0)
 
-    def framing_context(self, reference: int, framed: Sequence[int],
-                        tol: float = DEFAULT_TOL) -> ProductContext:
+    def framing_context(self, reference: int, framed: Sequence[int]) -> ProductContext:
         """Context on the complement of ``reference`` whose generators put the
         listed frames' effects at their slots and a Hermitian basis everywhere
         else, kept as one small context per slot."""
@@ -118,7 +117,7 @@ class MultiFrameScenario:
         key = (reference, tuple(framed))
         if key not in self._contexts:
             self._contexts[key] = ProductContext([
-                EffectContext(self.frames[pos].povm.effects, dim=self.dims[pos], tol=tol)
+                EffectContext(self.frames[pos].povm.effects, dim=self.dims[pos])
                 if pos in framed else EffectContext(HermitianBasis(self.dims[pos]).matrices)
                 for pos in self.complement(reference)
             ])
@@ -168,8 +167,7 @@ class FramedRelativeState:
     def class_deviation(self, other: Union["FramedRelativeState", np.ndarray]) -> float:
         if isinstance(other, FramedRelativeState):
             other = other.matrix
-        delta = self.matrix - as_operator(other)
-        return float(np.max(np.abs(self.context.pairings(delta))))
+        return self.context.class_deviation(self.matrix, as_operator(other))
 
     def __repr__(self) -> str:
         return (f"FramedRelativeState(reference={self.reference}, "
@@ -185,7 +183,7 @@ def framed_relative_context(scenario: MultiFrameScenario, reference: int,
     scenario._check_frame_index(framed)
     if reference == framed:
         raise ValueError("reference and framed indices must differ")
-    gens = scenario.framing_context(reference, (framed,), tol).generators
+    gens = scenario.framing_context(reference, (framed,)).generators
     return EffectContext([scenario.yen_total(reference, g) for g in gens],
                          dim=scenario.total_dim, tol=tol)
 
@@ -245,9 +243,11 @@ def coherent_frame_change_unitary(scenario: MultiFrameScenario, src: int = 0,
     """The coherent change-of-frame unitary sum_g |g^-1><g| (x) U_S(g) for a
     pair of ideal frames in the left-right convention.
 
-    Maps the complement of the source slot to the complement of the target
-    slot; valid for the leading two frame slots, where both complements list
-    the other frame factor first.
+    U_S is the scenario's cached ``rest_rep(src, dst)``, the empty product
+    being 1-dimensional, and its matrices are scattered into the blocks
+    (g^-1, g).  Maps the complement of the source slot to the complement of
+    the target slot; valid for the leading two frame slots, where both
+    complements list the other frame factor first.
     """
     if {src, dst} != {0, 1}:
         raise ValueError("the coherent unitary is defined for the leading frame pair")
@@ -257,22 +257,11 @@ def coherent_frame_change_unitary(scenario: MultiFrameScenario, src: int = 0,
             raise UnsupportedFrameError(
                 "the coherent unitary needs ideal frames in the left-right convention"
             )
-    group = scenario.group
-    n = group.order
-    rest = [k for k in range(scenario.n_factors) if k not in (src, dst)]
-    rest_dim = int(np.prod([scenario.dims[k] for k in rest])) if rest else 1
-    out = np.zeros((n * rest_dim, n * rest_dim), dtype=complex)
-    for g in group.elements():
-        hop = np.zeros((n, n), dtype=complex)
-        hop[group.inv(g), g] = 1.0
-        if rest:
-            u = scenario.factor_reps[rest[0]].mat(g)
-            for k in rest[1:]:
-                u = np.kron(u, scenario.factor_reps[k].mat(g))
-            out += np.kron(hop, u)
-        else:
-            out += hop
-    return out
+    mats = scenario.rest_rep(src, dst).matrices
+    n, r = mats.shape[0], mats.shape[1]
+    out = np.zeros((n, r, n, r), dtype=complex)
+    out[scenario.group.inverse, :, np.arange(n), :] = mats
+    return out.reshape(n * r, n * r)
 
 
 def operational_agreement(scenario: MultiFrameScenario, state: np.ndarray) -> float:
@@ -296,7 +285,7 @@ def compose_check(scenario: MultiFrameScenario, state: np.ndarray) -> float:
     direct = frame_change(scenario, 0, 2, state)
     via = frame_change(scenario, 1, 2, frame_change(scenario, 0, 1, state))
     joint = scenario.framing_context(2, framed=(0, 1))
-    return float(np.max(np.abs(joint.pairings(direct.matrix - via.matrix))))
+    return joint.class_deviation(direct.matrix, via.matrix)
 
 
 def triangular_reconstruction(frame1: Frame, frame2: Frame, rho_rel1: np.ndarray,

@@ -15,6 +15,7 @@ drains it into the worst deviation, the trial count and the witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -33,9 +34,14 @@ from .quantum import (
 from .relativize import PreconditionError, relative_orientation, restrict
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MeasurementScheme:
-    """Pointer coupling (U, f, E_R, omega_p) for a target observable E_S."""
+    """Pointer coupling (U, f, E_R, omega_p) for a target observable E_S.
+
+    Immutable after construction: no field can be rebound, and the
+    interaction and the pointer state are read-only copies, so the evolved
+    pointer effects, built on first use, always belong to this interaction.
+    """
 
     interaction: np.ndarray
     pointer_povm: POVM
@@ -44,39 +50,42 @@ class MeasurementScheme:
     target: POVM
 
     def __post_init__(self) -> None:
-        u = as_operator(self.interaction)
+        u = np.array(as_operator(self.interaction))
         d = self.pointer_povm.dim * self.target.dim
         if u.shape[0] != d:
             raise ValueError(f"interaction dim {u.shape[0]} != pointer*system dim {d}")
         if op_norm(u @ dagger(u) - np.eye(d)) > 1e-9:
             raise ValueError("interaction is not unitary")
-        if not is_density(self.pointer_state, 1e-6):
+        omega = np.array(as_operator(self.pointer_state))
+        if not is_density(omega, 1e-6):
             raise ValueError("pointer state must be a density operator")
-        f = [int(x) for x in self.outcome_map]
+        f = tuple(int(x) for x in self.outcome_map)
         if len(f) != self.pointer_povm.size:
             raise ValueError("outcome map must be total on the pointer sample space")
         if any(not 0 <= x < self.target.size for x in f):
             raise ValueError("outcome map hits outcomes outside the target sample space")
-        self.interaction = u
-        self.outcome_map = tuple(f)
+        u.setflags(write=False)
+        omega.setflags(write=False)
+        object.__setattr__(self, "interaction", u)
+        object.__setattr__(self, "pointer_state", omega)
+        object.__setattr__(self, "outcome_map", f)
 
     def evolved_pointer_effect(self, xs: Sequence[int]) -> np.ndarray:
         """U (E_R(X) (x) 1) U^dag for a pointer subset X."""
-        singles = self._evolved_singles()
+        singles = self._evolved_singles
         total = np.zeros_like(self.interaction)
         for x in xs:
             total = total + singles[x]
         return total
 
+    @cached_property
     def _evolved_singles(self) -> list:
-        if not hasattr(self, "_singles"):
-            eye = np.eye(self.target.dim, dtype=complex)
-            self._singles = [
-                self.interaction @ np.kron(self.pointer_povm.effect(x), eye)
-                @ dagger(self.interaction)
-                for x in range(self.pointer_povm.size)
-            ]
-        return self._singles
+        eye = np.eye(self.target.dim, dtype=complex)
+        return [
+            self.interaction @ np.kron(self.pointer_povm.effect(x), eye)
+            @ dagger(self.interaction)
+            for x in range(self.pointer_povm.size)
+        ]
 
     def preimage(self, y: int) -> list:
         return [x for x in range(self.pointer_povm.size) if self.outcome_map[x] == y]
@@ -149,12 +158,9 @@ def canonical_scheme(group: FiniteGroup) -> MeasurementScheme:
     PVM on the system exactly.
     """
     n = group.order
+    # |g, h> at g * n + h goes to |g h^-1, h>
     u = np.zeros((n * n, n * n), dtype=complex)
-    for g in range(n):
-        for h in range(n):
-            src = g * n + h
-            dst = group.mul(g, group.inv(h)) * n + h
-            u[dst, src] = 1.0
+    u[group.cayley[:, group.inverse] * n + np.arange(n), np.arange(n * n).reshape(n, n)] = 1.0
     rep = left_regular_rep(group)
     pointer = canonical_pvm(rep)
     target = canonical_pvm(rep)

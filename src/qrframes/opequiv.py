@@ -53,8 +53,12 @@ class _SpanViews:
         """
         return self.span_coords.T @ self.span_coords
 
-    def project_coords(self, v: np.ndarray) -> np.ndarray:
-        return self.span_coords.T @ (self.span_coords @ v)
+    def class_deviation(self, a: np.ndarray, b: np.ndarray) -> float:
+        """max over generators f of |tr[(a - b) f]|: how far a and b are from
+        one class; 0.0 when there are no generators, as every pair is then
+        equivalent."""
+        delta = _square(a, self.dim) - _square(b, self.dim)
+        return float(np.max(np.abs(self.pairings(delta)), initial=0.0))
 
     def kernel_basis(self) -> list:
         return list(self.basis.from_coords(self.kernel_coords()))
@@ -279,7 +283,7 @@ def equivalent(ctx: Context, a: np.ndarray, b: np.ndarray,
     b = as_operator(b)
     if a.shape != b.shape or a.shape[0] != ctx.dim:
         raise ValueError("operands must match the context dimension")
-    return bool(np.all(np.abs(ctx.pairings(a - b)) <= tol))
+    return ctx.class_deviation(a, b) <= tol
 
 
 def canonical_repr(ctx: Context, a: np.ndarray) -> np.ndarray:

@@ -139,11 +139,15 @@ class UnitaryRep:
     def orbit(self, ops: np.ndarray, dual: bool = False) -> np.ndarray:
         """The stack of g.A_g over all elements g, or of g.rho_g with ``dual``.
 
-        ``ops`` is a stack indexed by element, or one operator A, which gives
-        its orbit g.A.  Weighted orbit sums sum_g w(g) g.A are
+        The library's sums and comparisons over group elements sweep the
+        group through it.  ``ops`` is a stack indexed by element, or one
+        operator A, which gives its orbit g.A (entry g is ``act_op(g, A)``).
+        Weighted orbit sums sum_g w(g) g.A are
         ``np.tensordot(w, rep.orbit(a), axes=1)``.  Leading batch axes give
         one orbit per batch entry: ``ops`` of shape (..., n, d, d) is a batch
         of stacks, and of shape (..., 1, d, d) a batch of single operators.
+        The result holds n matrices per entry, so a caller that sweeps many
+        operators takes one orbit at a time.
         """
         ops = np.asarray(ops, dtype=complex)
         n = self.group.order
@@ -193,8 +197,10 @@ def left_right_rep(group: FiniteGroup) -> UnitaryRep:
 
 
 def trivial_rep(group: FiniteGroup, dim: int = 1) -> UnitaryRep:
-    eye = np.eye(dim, dtype=complex)
-    return UnitaryRep(group, [eye] * group.order, kind="custom", validate=False)
+    """U(g) = I on C^dim, as the permutation rep of identity permutations,
+    so that an ancilla ``rep.tensor(trivial_rep(group, k))`` keeps the
+    permutations of ``rep``."""
+    return UnitaryRep.from_permutations(group, np.tile(np.arange(dim), (group.order, 1)))
 
 
 def rep_from_matrices(group: FiniteGroup, matrices: Sequence[np.ndarray],
@@ -352,14 +358,14 @@ def coherent_state_povm(rep: UnitaryRep, seed_vector: np.ndarray,
     phi = np.asarray(seed_vector, dtype=complex).reshape(-1)
     if phi.shape[0] != rep.dim:
         raise ValueError(f"seed vector length {phi.shape[0]} does not match rep dim {rep.dim}")
-    orbit = [rep.mat(g) @ phi for g in rep.group.elements()]
-    frame_op = sum(np.outer(v, np.conj(v)) for v in orbit)
+    # |phi(g)><phi(g)| = g.|phi><phi|
+    orbit = rep.orbit(np.outer(phi, np.conj(phi)))
+    frame_op = orbit.sum(axis=0)
     lam = np.trace(frame_op).real / rep.dim
     deviation = op_norm(frame_op - lam * np.eye(rep.dim))
     if deviation > tol:
         raise ResolutionOfIdentityError(deviation)
-    effects = [np.outer(v, np.conj(v)) / lam for v in orbit]
-    return POVM(GroupSpace(rep.group), effects)
+    return POVM(GroupSpace(rep.group), orbit / lam)
 
 
 def coset_permutation_rep(cosets: CosetSpace) -> UnitaryRep:
@@ -377,14 +383,17 @@ def canonical_coset_pvm(cosets: CosetSpace) -> POVM:
 # ---------------------------------------------------------------------------
 
 def covariance_deviations(povm: POVM, rep: UnitaryRep, action=None):
-    """Yield || U(g) E(x) U(g)^dag - E(g.x) || for every pair (g, x)."""
+    """Yield || U(g) E(x) U(g)^dag - E(g.x) || for every pair (g, x).
+
+    Outcome by outcome: one ``rep.orbit`` of E(x) gives U(g) E(x) U(g)^dag
+    for every g, so at most |G| matrices of the rep's size are held at once.
+    """
     if rep.dim != povm.dim:
         raise ValueError("representation and POVM dimensions differ")
     act = action if action is not None else povm.act
-    for g in rep.group.elements():
-        for x in range(povm.size):
-            dev = op_norm(rep.act_op(g, povm.effect(x)) - povm.effect(act(g, x)))
-            yield dev, {"g": g, "x": x}
+    for x in range(povm.size):
+        for g, moved in enumerate(rep.orbit(povm.effect(x))):
+            yield op_norm(moved - povm.effect(act(g, x))), {"g": g, "x": x}
 
 
 def covariance_deviation(povm: POVM, rep: UnitaryRep, action=None) -> float:
@@ -456,11 +465,8 @@ def classify_frame(rep: UnitaryRep, povm: POVM, tol: float = DEFAULT_TOL) -> Fra
         sharp = all(op_norm(e @ e - e) <= tol for e in povm.effects)
         norms = [op_norm(e) for e in povm.effects]
         localizable = all(nm <= tol or abs(nm - 1.0) <= tol for nm in norms)
-        iso_members = [
-            h for h in group.elements()
-            if all(op_norm(rep.act_op(h, povm.effect(x)) - povm.effect(x)) <= tol
-                   for x in range(povm.size))
-        ]
+        fixed = [np.linalg.norm(rep.orbit(e) - e, 2, axis=(1, 2)) <= tol for e in povm.effects]
+        iso_members = np.flatnonzero(np.all(fixed, axis=0))
     isotropy = Subgroup(group, iso_members)
     return Frame(
         rep=rep,

@@ -64,6 +64,7 @@ from .quantum import (
     left_regular_rep,
     left_right_rep,
     localizing_state,
+    trivial_rep,
     uniform_povm,
 )
 from .relativize import (
@@ -132,8 +133,8 @@ def check_yen_invariance(group, rng, tol, trials):
     diag = frame.rep.tensor(sys_rep)
     for i, b in enumerate(HermitianBasis(sys_rep.dim).matrices):
         image = ym.apply(b)
-        for h in group.elements():
-            yield op_norm(diag.act_op(h, image) - image), {"basis": i, "h": h}
+        for h, moved in enumerate(diag.orbit(image)):
+            yield op_norm(moved - image), {"basis": i, "h": h}
 
 
 def check_yen_unital(group, rng, tol, trials):
@@ -147,12 +148,11 @@ def check_yen_cp(group, rng, tol, trials):
     frame = canonical_frame(group)
     sys_rep = standard_system_rep(group, 2)
     for k in (2, 3):
+        # the channel tensored with the identity on a k-dim ancilla
+        ym = YenMap(frame, sys_rep.tensor(trivial_rep(group, k)))
         for _ in range(max(1, trials // 4)):
             p = random_density(rng, sys_rep.dim * k) * (sys_rep.dim * k)
-            out = np.zeros((frame.dim * sys_rep.dim * k,) * 2, dtype=complex)
-            for g in group.elements():
-                ug = np.kron(sys_rep.mat(g), np.eye(k))
-                out += kron(frame.povm.effect(g), ug @ p @ dagger(ug))
+            out = ym.apply(p)
             # the most negative eigenvalue; a positive output reads 0
             yield -float(np.min(np.linalg.eigvalsh((out + dagger(out)) / 2)))
 
@@ -197,10 +197,10 @@ def check_yen_predual_duality(group, rng, tol, trials):
 _RUN_MEMO: ContextVar[Optional[dict]] = ContextVar("qrframes_run_memo", default=None)
 
 
-def _exhaustiveness_contexts(group, sys_dim=2):
+def _exhaustiveness_contexts(group):
     def build():
         frame = canonical_frame(group)
-        sys_rep = standard_system_rep(group, sys_dim)
+        sys_rep = standard_system_rep(group, 2)
         ym = YenMap(frame, sys_rep)
         relative = EffectContext([ym.apply(b) for b in HermitianBasis(sys_rep.dim).matrices],
                                  dim=ym.dim_total)
@@ -211,10 +211,9 @@ def _exhaustiveness_contexts(group, sys_dim=2):
     memo = _RUN_MEMO.get()
     if memo is None:
         return build()
-    key = ("exhaustiveness", sys_dim)
-    if key not in memo:
-        memo[key] = build()
-    return memo[key]
+    if "exhaustiveness" not in memo:
+        memo["exhaustiveness"] = build()
+    return memo["exhaustiveness"]
 
 
 def check_exhaustiveness_rank(group, rng, tol, trials):
@@ -380,7 +379,7 @@ def check_fc_inverse(group, rng, tol, trials):
     for _ in range(trials):
         state = random_density(rng, ctx.dim)
         back = frame_change(scenario, 1, 0, frame_change(scenario, 0, 1, state))
-        yield float(np.max(np.abs(ctx.pairings(back.matrix - state))))
+        yield ctx.class_deviation(back.matrix, state)
 
 
 def check_fc_affine(group, rng, tol, trials):

@@ -35,6 +35,7 @@ from qrframes import (
     relative_orientation,
     symmetric_group,
     triangular_reconstruction,
+    trivial_rep,
     yen_predual,
 )
 from qrframes.builtins import standard_system_rep
@@ -104,6 +105,8 @@ def test_criterion_02_yen_invariance_and_channel():
             for elt in group.elements():
                 u = np.kron(sys_rep.mat(elt), np.eye(k))
                 out += kron(frame.povm.effect(elt), u @ p @ dagger(u))
+            ancilla = YenMap(frame, sys_rep.tensor(trivial_rep(group, k))).apply(p)
+            worst_cp = max(worst_cp, float(np.max(np.abs(ancilla - out))))
             low = float(np.min(np.linalg.eigvalsh((out + dagger(out)) / 2)))
             worst_cp = max(worst_cp, max(0.0, -low))
     ok = worst_inv <= 1e-10 and worst_unital <= 1e-10 and worst_cp <= 1e-9

@@ -363,6 +363,17 @@ def test_framed_relative_state_api(z2, rng):
         frs.same_class(other)
 
 
+def test_class_deviation_in_an_empty_context(z2, rng):
+    # with no generators every pair of states is one class: the deviation
+    # reads 0.0, as equivalence says, and does not raise
+    sc = _ideal_pair(z2)
+    frs = FramedRelativeState(sc, 0, random_density(rng, 4), framed=(1,),
+                              context=EffectContext([], dim=4))
+    other = random_density(rng, 4)
+    assert frs.class_deviation(other) == 0.0
+    assert frs.same_class(other)
+
+
 @pytest.mark.parametrize("point", (-1, 3))
 def test_localizing_point_outside_sample_space(z3, point):
     frame = canonical_frame(z3)

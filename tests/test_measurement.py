@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -212,3 +214,22 @@ def test_outcome_map_merging(z4):
     merged = scheme.evolved_pointer_effect([0, 2])
     parts = scheme.evolved_pointer_effect([0]) + scheme.evolved_pointer_effect([2])
     assert np.allclose(merged, parts)
+
+
+def test_scheme_is_immutable(z3):
+    # the evolved pointer effects are cached on first use, so neither a field
+    # nor an array of a scheme may change after construction
+    scheme = canonical_scheme(z3)
+    assert worst_case(check_prc(scheme))[0] == 0.0
+    with pytest.raises(FrozenInstanceError):
+        scheme.interaction = np.eye(9)
+    for array in (scheme.interaction, scheme.pointer_state):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0.5
+    assert worst_case(check_prc(scheme))[0] == 0.0
+    # a scheme keeps its own copy of the caller's arrays
+    u = np.eye(9)
+    decoupled = MeasurementScheme(u, scheme.pointer_povm, scheme.pointer_state,
+                                  scheme.outcome_map, scheme.target)
+    u[:] = scheme.interaction.real
+    assert abs(worst_case(check_prc(decoupled))[0] - 1.0) <= 1e-12

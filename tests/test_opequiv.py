@@ -57,6 +57,8 @@ def test_empty_context():
     assert ctx.rank == 0
     assert ctx.kernel_dim == 4
     assert equivalent(ctx, np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+    # no generator tells any pair apart
+    assert ctx.class_deviation(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) == 0.0
 
 
 @pytest.mark.parametrize("make", (

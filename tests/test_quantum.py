@@ -21,6 +21,7 @@ from qrframes import (
     trivial_rep,
     uniform_povm,
 )
+from qrframes.builtins import standard_system_rep
 from qrframes.groups import CosetSpace, Subgroup
 from qrframes.operators import random_density, random_hermitian
 from qrframes.quantum import GroupSpace, canonical_coset_pvm, coset_permutation_rep
@@ -262,3 +263,11 @@ def test_rep_validation_rejects_non_homomorphism(z3):
 def test_trivial_rep(s3):
     rep = trivial_rep(s3, 3)
     assert all(np.allclose(rep.mat(g), np.eye(3)) for g in s3.elements())
+    # identity permutations, so an ancilla keeps a permutation rep's structure
+    assert np.array_equal(rep.permutations, np.tile(np.arange(3), (s3.order, 1)))
+    assert left_regular_rep(s3).tensor(rep).permutations is not None
+    sys_rep = standard_system_rep(s3, 2)
+    for k in (1, 2, 3):
+        joint = sys_rep.tensor(trivial_rep(s3, k))
+        for g in s3.elements():
+            assert np.max(np.abs(joint.mat(g) - np.kron(sys_rep.mat(g), np.eye(k)))) <= 1e-12

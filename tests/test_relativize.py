@@ -22,6 +22,7 @@ from qrframes import (
     relational_span_report,
     relative_orientation,
     restrict,
+    trivial_rep,
     uniform_povm,
     yen,
     yen_homogeneous,
@@ -87,6 +88,9 @@ def test_yen_positive_and_cp(z3, rng):
                 u = np.kron(sys_rep.mat(elt), np.eye(k))
                 out += kron(frame.povm.effect(elt), u @ p @ dagger(u))
             assert np.min(np.linalg.eigvalsh(out)) >= -1e-10
+            # the same sum as the channel of the system tensored with an ancilla
+            ancilla = YenMap(frame, sys_rep.tensor(trivial_rep(z3, k)))
+            assert np.max(np.abs(ancilla.apply(p) - out)) <= 1e-12
 
 
 def test_yen_isometric_for_localizable(s3, rng):
@@ -403,7 +407,6 @@ def test_convolve_scalar_degenerate_case(z3):
     # one-dimensional frame and system: a covariant scalar observable on the
     # group is forced to be the uniform measure, so the convolved statistics
     # reduce to the measure convolution uniform * uniform = uniform
-    from qrframes import trivial_rep
     from qrframes.quantum import GroupSpace
 
     rep1 = trivial_rep(z3, 1)

@@ -49,6 +49,16 @@ def test_nan_deviation_fails_its_check(monkeypatch):
     assert report["summary"]["failed"] == 1
 
 
+def test_complete_positivity_runs_the_channel(monkeypatch):
+    # the check must judge YenMap itself: a channel whose output is not
+    # positive fails it
+    monkeypatch.setattr(suites.YenMap, "apply", lambda self, a: -np.eye(self.dim_total))
+    report = run_checks(cyclic_group(2), ("yen-invariance",))
+    record = next(c for c in report["checks"] if c["name"] == "yen.complete_positivity")
+    assert record["pass"] is False
+    assert record["max_deviation"] == 1.0
+
+
 def test_non_finite_deviation_fails(monkeypatch):
     claim, _ = suites.CHECKS["yen.unital"]
     monkeypatch.setitem(suites.CHECKS, "yen.unital",
