@@ -20,7 +20,6 @@ from .operators import (
     HermitianBasis,
     contract_factor,
     embed_factors,
-    hs_inner,
     is_density,
     is_effect,
     is_positive,
@@ -47,15 +46,12 @@ from .quantum import (
     left_regular_rep,
     left_right_rep,
     localizing_state,
-    rep_from_matrices,
     trivial_rep,
     uniform_povm,
 )
 from .opequiv import (
     EffectContext,
-    OperationalState,
     ProductContext,
-    canonical_repr,
     equivalent,
     framed_subspace,
     g_twirl,
@@ -67,15 +63,11 @@ from .relativize import (
     HomogeneousYenMap,
     PreconditionError,
     YenMap,
-    conditioned_yen,
     convolve,
     product_relative_state,
     relational_span_report,
     relative_orientation,
     restrict,
-    yen,
-    yen_homogeneous,
-    yen_predual,
 )
 from .framechange import (
     FramedRelativeState,
@@ -84,7 +76,6 @@ from .framechange import (
     compose_check,
     frame_change,
     framed_relative_context,
-    lift,
     operational_agreement,
     triangular_reconstruction,
 )

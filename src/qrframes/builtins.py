@@ -41,7 +41,7 @@ def character_rep(group: FiniteGroup, exponents) -> UnitaryRep:
     n = group.order
     w = np.exp(2j * np.pi / n)
     mats = [np.diag([w ** (g * int(k)) for k in exponents]) for g in range(n)]
-    return UnitaryRep(group, mats, kind="custom", validate=True)
+    return UnitaryRep(group, mats)
 
 
 def permutation_rep(group: FiniteGroup) -> UnitaryRep:
@@ -60,7 +60,7 @@ def standard_rep_symmetric(group: FiniteGroup) -> UnitaryRep:
     basis = np.linalg.qr(np.column_stack([np.ones(n)] + [np.eye(n)[:, k] for k in range(n - 1)]))[0]
     q = basis[:, 1:]
     mats = [q.T @ perm.mat(g) @ q for g in group.elements()]
-    return UnitaryRep(group, mats, kind="custom", validate=True)
+    return UnitaryRep(group, mats)
 
 
 def sign_rep(group: FiniteGroup, extra_dim: int = 2) -> UnitaryRep:
@@ -68,7 +68,7 @@ def sign_rep(group: FiniteGroup, extra_dim: int = 2) -> UnitaryRep:
     determinant of the permutation matrix."""
     signs = np.rint(np.linalg.det(permutation_rep(group).matrices).real)
     mats = [np.diag([1.0] + [s] * (extra_dim - 1)) for s in signs]
-    return UnitaryRep(group, mats, kind="custom", validate=True)
+    return UnitaryRep(group, mats)
 
 
 def dihedral_standard_rep(group: FiniteGroup) -> UnitaryRep:
@@ -85,7 +85,7 @@ def dihedral_standard_rep(group: FiniteGroup) -> UnitaryRep:
     for k in range(n):
         t = -2 * np.pi * k / n       # reflection angles run against the rotations
         mats.append(np.array([[np.cos(t), np.sin(t)], [np.sin(t), -np.cos(t)]], dtype=complex))
-    return UnitaryRep(group, mats, kind="custom", validate=True)
+    return UnitaryRep(group, mats)
 
 
 def quaternion_2d_rep(group: FiniteGroup) -> UnitaryRep:
@@ -95,7 +95,7 @@ def quaternion_2d_rep(group: FiniteGroup) -> UnitaryRep:
     qj = 1j * np.array([[0, -1j], [1j, 0]], dtype=complex)
     qk = 1j * np.array([[0, 1], [1, 0]], dtype=complex)
     table = [eye, -eye, qi, -qi, qj, -qj, qk, -qk]
-    return UnitaryRep(group, table, kind="custom", validate=True)
+    return UnitaryRep(group, table)
 
 
 def _pad_to_three(rep: UnitaryRep) -> UnitaryRep:
@@ -103,7 +103,7 @@ def _pad_to_three(rep: UnitaryRep) -> UnitaryRep:
     mats = np.zeros((rep.group.order, 3, 3), dtype=complex)
     mats[:, :2, :2] = rep.matrices
     mats[:, 2, 2] = 1.0
-    return UnitaryRep(rep.group, mats, kind="custom", validate=False)
+    return UnitaryRep._trusted(rep.group, mats)
 
 
 def standard_system_rep(group: FiniteGroup, dim: int = 2) -> UnitaryRep:

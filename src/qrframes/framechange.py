@@ -17,19 +17,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .operators import (
-    DEFAULT_TOL,
-    HermitianBasis,
-    as_operator,
-    kron,
-)
-from .opequiv import (
-    Context,
-    EffectContext,
-    OperationalState,
-    ProductContext,
-    invariant_subspace,
-)
+from .operators import DEFAULT_TOL, HermitianBasis, as_operator
+from .opequiv import Context, EffectContext, ProductContext
 from .quantum import Frame, UnitaryRep, UnsupportedFrameError, localizing_state, trivial_rep
 from .relativize import _extract, _layout, _place, relative_orientation
 
@@ -59,10 +48,6 @@ class MultiFrameScenario:
         self.total_dim = int(np.prod(self.dims))
         self._rest_reps: dict = {}
         self._contexts: dict = {}
-
-    @property
-    def diagonal_rep(self) -> UnitaryRep:
-        return self.rest_rep()
 
     def complement(self, *exclude: int) -> list:
         """Factor positions not in ``exclude``, in order."""
@@ -148,24 +133,13 @@ class FramedRelativeState:
         self.context = context if context is not None else scenario.framing_context(
             self.reference, self.framed
         )
-        self._canonical: Optional[np.ndarray] = None
 
-    @property
-    def canonical(self) -> np.ndarray:
-        if self._canonical is None:
-            self._canonical = self.context.project(self.matrix)
-        return self._canonical
-
-    def same_class(self, other: Union["FramedRelativeState", np.ndarray],
-                   tol: float = DEFAULT_TOL) -> bool:
+    def class_deviation(self, other: Union["FramedRelativeState", np.ndarray]) -> float:
+        """max over the framing context's generators f of |tr[(self - other) f]|;
+        a state operand must share this state's reference and framed frames."""
         if isinstance(other, FramedRelativeState):
             if other.reference != self.reference or other.framed != self.framed:
                 raise ValueError("states live in different framed descriptions")
-            other = other.matrix
-        return self.class_deviation(other) <= tol
-
-    def class_deviation(self, other: Union["FramedRelativeState", np.ndarray]) -> float:
-        if isinstance(other, FramedRelativeState):
             other = other.matrix
         return self.context.class_deviation(self.matrix, as_operator(other))
 
@@ -186,19 +160,6 @@ def framed_relative_context(scenario: MultiFrameScenario, reference: int,
     gens = scenario.framing_context(reference, (framed,)).generators
     return EffectContext([scenario.yen_total(reference, g) for g in gens],
                          dim=scenario.total_dim, tol=tol)
-
-
-def lift(frame: Frame, sys_rep: UnitaryRep, omega: np.ndarray,
-         omega_rel: np.ndarray) -> OperationalState:
-    """Lift a system trace-class operator to the invariant description of the
-    composite by attaching the frame state omega; the result is the class of
-    omega (x) omega_rel under the invariant effects."""
-    omega = as_operator(omega)
-    omega_rel = as_operator(omega_rel)
-    if omega.shape[0] != frame.dim or omega_rel.shape[0] != sys_rep.dim:
-        raise ValueError("operand dimensions do not match the frame/system split")
-    ctx = invariant_subspace(frame.rep.tensor(sys_rep))
-    return OperationalState(kron(omega, omega_rel), ctx)
 
 
 def frame_change(scenario: MultiFrameScenario, src: int, dst: int,

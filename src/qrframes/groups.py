@@ -95,15 +95,6 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def label(self, g: int) -> str:
-        if self.labels is not None:
-            return self.labels[g]
-        return str(g)
-
-    @property
-    def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.cayley, self.cayley.T))
-
     def _check(self, g: int) -> None:
         if not 0 <= int(g) < self.order:
             raise ValueError(f"element index {g} out of range for order {self.order}")
@@ -171,17 +162,11 @@ class CosetSpace:
         coset_of = np.full(n, -1, dtype=np.int64)
         reps = []
         for g in range(n):
-            if coset_of[g] >= 0:
-                continue
-            cid = len(reps)
-            reps.append(g)
-            for h in subgroup:
-                coset_of[parent.mul(g, h)] = cid
-        n_cosets = len(reps)
-        action = np.empty((n, n_cosets), dtype=np.int64)
-        for g in range(n):
-            for c in range(n_cosets):
-                action[g, c] = coset_of[parent.mul(g, reps[c])]
+            if coset_of[g] < 0:
+                coset_of[parent.cayley[g, list(subgroup.members)]] = len(reps)
+                reps.append(g)
+        # g.(kH) = (gk)H: the coset of g * reps[c]
+        action = coset_of[parent.cayley[:, reps]]
         coset_of.setflags(write=False)
         action.setflags(write=False)
         self.parent = parent
@@ -198,7 +183,7 @@ class CosetSpace:
         return int(self.action[g, coset])
 
     def members(self, coset: int) -> tuple:
-        return tuple(int(g) for g in range(self.parent.order) if self.coset_of[g] == coset)
+        return tuple(int(g) for g in np.flatnonzero(self.coset_of == coset))
 
     def __repr__(self) -> str:
         return f"CosetSpace({self.parent.name}/{self.subgroup.members}, {self.n_cosets} cosets)"

@@ -9,8 +9,6 @@ Formats:
                                   "effects": [<operator>...]}}
   scenario  {"group": ..., "frames": [<frame>...],
              "system": {"rep": ..., "dim": n}?, "seed": int?}
-  scheme    {"group": ..., "interaction": <operator>, "pointer_povm": ...,
-             "pointer_state": <operator>, "outcome_map": [...], "target": ...}
 
 Decoders validate shapes and reject ragged arrays.
 """
@@ -26,7 +24,6 @@ import numpy as np
 from .builtins import builtin_group
 from .framechange import MultiFrameScenario
 from .groups import CosetSpace, FiniteGroup, GroupError, Subgroup
-from .measurement import MeasurementScheme
 from .operators import as_operator
 from .quantum import (
     CosetSampleSpace,
@@ -38,7 +35,6 @@ from .quantum import (
     classify_frame,
     left_regular_rep,
     left_right_rep,
-    rep_from_matrices,
 )
 
 
@@ -139,7 +135,7 @@ def rep_from_json(group: FiniteGroup, doc) -> UnitaryRep:
              "rep must be 'left_regular', 'left_right', or {'matrices': [...]}")
     mats = [operator_from_json(m) for m in doc["matrices"]]
     try:
-        return rep_from_matrices(group, mats)
+        return UnitaryRep(group, mats)
     except ValueError as exc:
         raise FormatError(f"invalid representation: {exc}") from exc
 
@@ -164,21 +160,6 @@ def povm_from_json(group: FiniteGroup, rep: UnitaryRep, doc) -> POVM:
         raise FormatError(f"invalid POVM: {exc}") from exc
 
 
-def frame_to_json(frame: Frame) -> dict:
-    doc = {"group": group_to_json(frame.group)}
-    if frame.rep.kind in ("left_regular", "left_right"):
-        doc["rep"] = frame.rep.kind
-    else:
-        doc["rep"] = {"matrices": [operator_to_json(m) for m in frame.rep.matrices]}
-    space = frame.povm.space
-    space_doc = "group" if isinstance(space, GroupSpace) else {
-        "coset_subgroup": list(space.cosets.subgroup.members)
-    }
-    doc["povm"] = {"space": space_doc,
-                   "effects": [operator_to_json(e) for e in frame.povm.effects]}
-    return doc
-
-
 def frame_from_json(doc: dict, group: Optional[FiniteGroup] = None,
                     base: Optional[Path] = None) -> Frame:
     _require(isinstance(doc, dict), "frame document must be an object")
@@ -194,7 +175,7 @@ def frame_from_json(doc: dict, group: Optional[FiniteGroup] = None,
 
 
 # ---------------------------------------------------------------------------
-# scenarios and schemes
+# scenarios
 # ---------------------------------------------------------------------------
 
 def scenario_from_json(doc: dict, base: Optional[Path] = None) -> MultiFrameScenario:
@@ -216,23 +197,6 @@ def scenario_from_json(doc: dict, base: Optional[Path] = None) -> MultiFrameScen
             _require(int(sys_doc["dim"]) == system_rep.dim,
                      "declared system dim does not match its representation")
     return MultiFrameScenario(frames, system_rep)
-
-
-def scheme_from_json(doc: dict, base: Optional[Path] = None) -> MeasurementScheme:
-    _require(isinstance(doc, dict), "scheme document must be an object")
-    for key in ("group", "interaction", "pointer_state", "outcome_map"):
-        _require(key in doc, f"scheme document needs {key!r}")
-    group = resolve_group(doc["group"], base)
-    rep = rep_from_json(group, doc.get("rep", "left_regular"))
-    pointer = povm_from_json(group, rep, doc.get("pointer_povm", "canonical"))
-    target = povm_from_json(group, rep, doc.get("target", "canonical"))
-    return MeasurementScheme(
-        interaction=operator_from_json(doc["interaction"]),
-        pointer_povm=pointer,
-        pointer_state=operator_from_json(doc["pointer_state"]),
-        outcome_map=[int(x) for x in doc["outcome_map"]],
-        target=target,
-    )
 
 
 def load_json(path: Union[str, Path]) -> dict:

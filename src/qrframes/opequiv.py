@@ -60,9 +60,6 @@ class _SpanViews:
         delta = _square(a, self.dim) - _square(b, self.dim)
         return float(np.max(np.abs(self.pairings(delta)), initial=0.0))
 
-    def kernel_basis(self) -> list:
-        return list(self.basis.from_coords(self.kernel_coords()))
-
     def report(self) -> dict:
         return {"rank": self.rank, "kernel_dim": self.kernel_dim,
                 "generators": self._count}
@@ -127,7 +124,9 @@ class EffectContext(_SpanViews):
         return self._span
 
     def project(self, a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """HS-orthogonal projection of a Hermitian matrix onto the span."""
+        """HS-orthogonal projection of a Hermitian matrix onto the span: the
+        canonical class representative, equal for two operators exactly when
+        they are equivalent."""
         a = as_operator(a)
         if not is_hermitian(a, tol):
             raise ValueError("projection is defined on Hermitian operators")
@@ -284,41 +283,6 @@ def equivalent(ctx: Context, a: np.ndarray, b: np.ndarray,
     if a.shape != b.shape or a.shape[0] != ctx.dim:
         raise ValueError("operands must match the context dimension")
     return ctx.class_deviation(a, b) <= tol
-
-
-def canonical_repr(ctx: Context, a: np.ndarray) -> np.ndarray:
-    """The canonical class representative: HS projection onto the span.
-
-    Two Hermitian operators are context-equivalent exactly when their
-    canonical representatives coincide.
-    """
-    return ctx.project(a)
-
-
-class OperationalState:
-    """A Hermitian representative considered up to its context's equivalence."""
-
-    def __init__(self, representative: np.ndarray, context: Context) -> None:
-        rep = as_operator(representative)
-        if rep.shape[0] != context.dim:
-            raise ValueError("representative does not match the context dimension")
-        self.representative = rep
-        self.context = context
-        self._canonical: Optional[np.ndarray] = None
-
-    @property
-    def canonical(self) -> np.ndarray:
-        if self._canonical is None:
-            self._canonical = self.context.project(self.representative)
-        return self._canonical
-
-    def same_class(self, other, tol: float = DEFAULT_TOL) -> bool:
-        if isinstance(other, OperationalState):
-            other = other.representative
-        return equivalent(self.context, self.representative, other, tol)
-
-    def __repr__(self) -> str:
-        return f"OperationalState(dim={self.context.dim}, rank={self.context.rank})"
 
 
 # ---------------------------------------------------------------------------

@@ -153,15 +153,6 @@ def pair_trace(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.sum(a * b.T))
 
 
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product tr[A^dag B]."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    return complex(np.sum(np.conj(a) * b))
-
-
 def worst_case(deviations: Iterator) -> Tuple[float, int, Optional[dict]]:
     """Drain a generator of deviations into ``(worst, trials, witness)``.
 

@@ -59,27 +59,36 @@ class UnitaryRep:
         matrices: Sequence[np.ndarray],
         kind: str = "custom",
         tol: float = DEFAULT_TOL,
-        validate: bool = True,
     ) -> None:
         mats = np.asarray([as_operator(m) for m in matrices], dtype=complex)
         if mats.shape[0] != group.order:
             raise ValueError(f"need {group.order} matrices, got {mats.shape[0]}")
-        dim = mats.shape[1]
-        if validate:
-            eye = np.eye(dim)
-            if np.max(np.abs(mats[group.identity] - eye)) > tol:
-                raise ValueError("U(e) is not the identity")
-            for g in group.elements():
-                if np.max(np.abs(mats[g] @ dagger(mats[g]) - eye)) > tol:
-                    raise ValueError(f"U({g}) is not unitary")
-            for g in group.elements():
-                for h in group.elements():
-                    gh = group.cayley[g, h]
-                    if np.max(np.abs(mats[g] @ mats[h] - mats[gh])) > tol:
-                        raise ValueError(f"homomorphism fails at pair ({g}, {h})")
+        eye = np.eye(mats.shape[1])
+        if np.max(np.abs(mats[group.identity] - eye)) > tol:
+            raise ValueError("U(e) is not the identity")
+        for g in group.elements():
+            if np.max(np.abs(mats[g] @ dagger(mats[g]) - eye)) > tol:
+                raise ValueError(f"U({g}) is not unitary")
+        for g in group.elements():
+            for h in group.elements():
+                gh = group.cayley[g, h]
+                if np.max(np.abs(mats[g] @ mats[h] - mats[gh])) > tol:
+                    raise ValueError(f"homomorphism fails at pair ({g}, {h})")
+        self._init(group, mats, kind)
+
+    @classmethod
+    def _trusted(cls, group: FiniteGroup, mats: np.ndarray,
+                 kind: str = "custom") -> "UnitaryRep":
+        """The rep of an (order, dim, dim) complex stack the library built
+        itself as a representation, so without re-validation."""
+        rep = cls.__new__(cls)
+        rep._init(group, mats, kind)
+        return rep
+
+    def _init(self, group: FiniteGroup, mats: np.ndarray, kind: str) -> None:
         mats.setflags(write=False)
         self.group = group
-        self.dim = dim
+        self.dim = mats.shape[1]
         self.matrices = mats
         self.kind = kind
         self.permutations: Optional[np.ndarray] = None
@@ -105,7 +114,7 @@ class UnitaryRep:
             raise ValueError("permutations do not compose as the group does")
         mats = np.zeros((n, dim, dim), dtype=complex)
         mats[np.arange(n)[:, None], perms, np.arange(dim)] = 1.0
-        rep = cls(group, mats, kind=kind, validate=False)
+        rep = cls._trusted(group, mats, kind)
         perms.setflags(write=False)
         rep.permutations = perms
         return rep
@@ -178,8 +187,9 @@ class UnitaryRep:
             perms = (self.permutations[:, :, None] * other.dim
                      + other.permutations[:, None, :]).reshape(self.group.order, -1)
             return UnitaryRep.from_permutations(self.group, perms)
-        mats = [np.kron(self.matrices[g], other.matrices[g]) for g in self.group.elements()]
-        return UnitaryRep(self.group, mats, kind="custom", validate=False)
+        mats = np.array([np.kron(self.matrices[g], other.matrices[g])
+                         for g in self.group.elements()])
+        return UnitaryRep._trusted(self.group, mats)
 
     def __repr__(self) -> str:
         return f"UnitaryRep({self.group.name}, dim={self.dim}, kind={self.kind})"
@@ -201,12 +211,6 @@ def trivial_rep(group: FiniteGroup, dim: int = 1) -> UnitaryRep:
     so that an ancilla ``rep.tensor(trivial_rep(group, k))`` keeps the
     permutations of ``rep``."""
     return UnitaryRep.from_permutations(group, np.tile(np.arange(dim), (group.order, 1)))
-
-
-def rep_from_matrices(group: FiniteGroup, matrices: Sequence[np.ndarray],
-                      tol: float = DEFAULT_TOL) -> UnitaryRep:
-    """Validated representation from explicit matrices indexed by element."""
-    return UnitaryRep(group, matrices, kind="custom", tol=tol, validate=True)
 
 
 # ---------------------------------------------------------------------------
@@ -241,19 +245,6 @@ class CosetSampleSpace:
 
     def act(self, g: int, x: int) -> int:
         return self.cosets.act(g, x)
-
-
-@dataclass(frozen=True)
-class PointSpace:
-    """A plain finite sample space without a group action."""
-    n: int
-
-    @property
-    def size(self) -> int:
-        return self.n
-
-    def act(self, g: int, x: int) -> int:
-        raise ValueError("this sample space carries no group action")
 
 
 class POVM:

@@ -96,7 +96,7 @@ class YenMap:
     def __init__(self, frame: Frame, sys_rep: UnitaryRep) -> None:
         if not frame.principal:
             raise UnsupportedFrameError(
-                "relativization needs a principal frame; use yen_homogeneous "
+                "relativization needs a principal frame; use HomogeneousYenMap "
                 "for frames on coset spaces"
             )
         if sys_rep.group != frame.group:
@@ -128,7 +128,8 @@ class YenMap:
         return self.sys_rep.orbit(blocks, dual=True).sum(axis=0)
 
     def conditioned(self, omega: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """Restriction of apply(a) by a frame state: sum_g mu_omega(g) g.A."""
+        """Restriction of apply(a) by a frame state: sum_g mu_omega(g) g.A,
+        which depends on omega only through its frame outcome distribution."""
         mu = born(self.frame.povm, omega)
         return np.tensordot(mu, self.sys_rep.orbit(as_operator(a)), axes=1)
 
@@ -141,16 +142,6 @@ class YenMap:
             unit[j // d_in, j % d_in] = 1.0
             cols.append(self.apply(unit).reshape(-1))
         return np.stack(cols, axis=1)
-
-
-def yen(frame: Frame, sys_rep: UnitaryRep, a: np.ndarray) -> np.ndarray:
-    """Relativize a system operator: sum_g E(g) (x) U_S(g) A U_S(g)^dag."""
-    return YenMap(frame, sys_rep).apply(a)
-
-
-def yen_predual(frame: Frame, sys_rep: UnitaryRep, omega: np.ndarray) -> np.ndarray:
-    """Predual of the relativization map, composite -> system trace class."""
-    return YenMap(frame, sys_rep).predual(omega)
 
 
 def convolve(povm_s: POVM, frame: Frame, sys_rep: UnitaryRep) -> POVM:
@@ -197,20 +188,10 @@ def restrict(omega: np.ndarray, a: np.ndarray) -> np.ndarray:
     return contract_factor(a, (d_r, d_s), 0, omega)
 
 
-def conditioned_yen(frame: Frame, sys_rep: UnitaryRep, omega: np.ndarray,
-                    a: np.ndarray) -> np.ndarray:
-    """The omega-conditioned relativization: sum_g mu_omega(g) U(g) A U(g)^dag.
-
-    Depends on omega only through its outcome distribution under the frame
-    observable.
-    """
-    return YenMap(frame, sys_rep).conditioned(omega, a)
-
-
 def product_relative_state(frame: Frame, sys_rep: UnitaryRep, omega: np.ndarray,
                            rho: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     """The system state smeared by the frame's orientation distribution:
-    sum_g mu_omega(g) U(g)^dag rho U(g), equal to yen_predual(omega (x) rho)."""
+    sum_g mu_omega(g) U(g)^dag rho U(g), equal to YenMap.predual(omega (x) rho)."""
     if not is_density(omega, tol):
         raise ValueError("omega must be a density operator")
     if not is_density(rho, tol):
@@ -248,6 +229,8 @@ class HomogeneousYenMap:
         self.dim_total = frame.dim * sys_rep.dim
 
     def apply(self, a: np.ndarray) -> np.ndarray:
+        """sum_{gH} E(gH) (x) gH.A of an H-invariant A; independent of the
+        chosen coset representatives."""
         a = as_operator(a)
         dev = subgroup_variance(self.sys_rep, self.cosets.subgroup, a)
         if dev > self.tol:
@@ -256,13 +239,6 @@ class HomogeneousYenMap:
             )
         blocks = self.sys_rep.orbit(a)[list(self.cosets.reps)]
         return _place(self.frame.povm, blocks, (self.frame.dim, self.sys_rep.dim), 0)
-
-
-def yen_homogeneous(frame: Frame, sys_rep: UnitaryRep, a: np.ndarray,
-                    tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Coset-space relativization sum_{gH} E(gH) (x) gH.A of an H-invariant
-    operator; well defined independently of the chosen representatives."""
-    return HomogeneousYenMap(frame, sys_rep, tol=tol).apply(a)
 
 
 def relational_span_report(frame: Frame, sys_rep: UnitaryRep) -> dict:

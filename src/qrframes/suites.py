@@ -67,13 +67,7 @@ from .quantum import (
     trivial_rep,
     uniform_povm,
 )
-from .relativize import (
-    YenMap,
-    conditioned_yen,
-    product_relative_state,
-    relative_orientation,
-    yen_predual,
-)
+from .relativize import YenMap, product_relative_state, relative_orientation
 
 
 def _rng_for(seed: int, name: str) -> np.random.Generator:
@@ -242,28 +236,30 @@ def check_localized_identity(group, rng, tol, trials):
     frame = canonical_frame(group)
     sys_rep = left_regular_rep(group) if group.order <= 12 else standard_system_rep(group, 2)
     omega = localizing_state(frame, group.identity)
+    ym = YenMap(frame, sys_rep)
     for b in HermitianBasis(sys_rep.dim).matrices:
-        yield op_norm(conditioned_yen(frame, sys_rep, omega, b) - b)
+        yield op_norm(ym.conditioned(omega, b) - b)
 
 
 def check_invariant_state_twirl(group, rng, tol, trials):
     frame = canonical_frame(group)
     sys_rep = standard_system_rep(group, 2)
+    ym = YenMap(frame, sys_rep)
     for _ in range(trials):
         omega = g_twirl_predual(frame.rep, random_density(rng, frame.dim))
         a = random_hermitian(rng, sys_rep.dim)
-        yield op_norm(conditioned_yen(frame, sys_rep, omega, a) - g_twirl(sys_rep, a))
+        yield op_norm(ym.conditioned(omega, a) - g_twirl(sys_rep, a))
 
 
 def check_distribution_dependence(group, rng, tol, trials):
     frame = canonical_frame(group)
     sys_rep = standard_system_rep(group, 2)
+    ym = YenMap(frame, sys_rep)
     for _ in range(trials):
         omega = random_density(rng, frame.dim)
         dephased = np.diag(np.diag(omega))
         a = random_hermitian(rng, sys_rep.dim)
-        yield op_norm(conditioned_yen(frame, sys_rep, omega, a)
-                      - conditioned_yen(frame, sys_rep, dephased, a))
+        yield op_norm(ym.conditioned(omega, a) - ym.conditioned(dephased, a))
 
 
 def check_product_state_symmetry(group, rng, tol, trials):
@@ -293,9 +289,10 @@ def check_lift_roundtrip(group, rng, tol, trials):
     frame = canonical_frame(group)
     sys_rep = standard_system_rep(group, 2)
     omega = localizing_state(frame, group.identity)
+    ym = YenMap(frame, sys_rep)
     for _ in range(trials):
         rel = random_density(rng, sys_rep.dim)
-        yield op_norm(yen_predual(frame, sys_rep, kron(omega, rel)) - rel)
+        yield op_norm(ym.predual(kron(omega, rel)) - rel)
 
 
 # ---------------------------------------------------------------------------
@@ -509,11 +506,12 @@ def _reconstruction_setup(group):
 
 def check_reconstruction_product_form(group, rng, tol, trials):
     f1, f2, sys_rep, reconstruct = _reconstruction_setup(group)
+    ym1, ym2 = YenMap(f1, f2.rep), YenMap(f2, sys_rep)
     for _ in range(trials):
         rho = random_density(rng, sys_rep.dim)
         omega = random_density(rng, f1.dim * f2.dim)
-        rel2 = yen_predual(f1, f2.rep, omega)
-        product = yen_predual(f2, sys_rep, kron(rel2, rho))
+        rel2 = ym1.predual(omega)
+        product = ym2.predual(kron(rel2, rho))
         yield op_norm(reconstruct(rho, omega) - product)
 
 

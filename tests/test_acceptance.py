@@ -15,7 +15,6 @@ from qrframes import (
     canonical_frame,
     coherent_frame_change_unitary,
     compose_check,
-    conditioned_yen,
     cyclic_group,
     dihedral_group,
     equivalent,
@@ -36,7 +35,6 @@ from qrframes import (
     symmetric_group,
     triangular_reconstruction,
     trivial_rep,
-    yen_predual,
 )
 from qrframes.builtins import standard_system_rep
 from qrframes.measurement import canonical_scheme, check_prc, check_rrc, rrc_relative_orientation
@@ -146,14 +144,14 @@ def test_criterion_04_conditioning():
         frame = canonical_frame(group)
         sys_rep = left_regular_rep(group)
         aligned = localizing_state(frame, group.identity)
+        ym = YenMap(frame, sys_rep)
         for b in HermitianBasis(sys_rep.dim).matrices:
-            worst_local = max(worst_local, op_norm(
-                conditioned_yen(frame, sys_rep, aligned, b) - b))
+            worst_local = max(worst_local, op_norm(ym.conditioned(aligned, b) - b))
         invariant = g_twirl_predual(frame.rep, random_density(rng, frame.dim))
         for _ in range(5):
             a = random_hermitian(rng, sys_rep.dim)
             worst_twirl = max(worst_twirl, op_norm(
-                conditioned_yen(frame, sys_rep, invariant, a) - g_twirl(sys_rep, a)))
+                ym.conditioned(invariant, a) - g_twirl(sys_rep, a)))
         for _ in range(50):
             omega = random_density(rng, frame.dim)
             rho = random_density(rng, sys_rep.dim)
@@ -292,12 +290,13 @@ def test_criterion_08_triangular_reconstruction():
         f2 = canonical_frame(group)
         sys_rep = standard_system_rep(group, 2)
         orientation = relative_orientation(f1, f2)
+        ym1, ym2 = YenMap(f1, f2.rep), YenMap(f2, sys_rep)
         for _ in range(10):
             rho = random_density(rng, sys_rep.dim)
             omega = random_density(rng, f1.dim * f2.dim)
             direct = triangular_reconstruction(f1, f2, rho, sys_rep, omega,
                                                orientation=orientation)
-            product = yen_predual(f2, sys_rep, kron(yen_predual(f1, f2.rep, omega), rho))
+            product = ym2.predual(kron(ym1.predual(omega), rho))
             worst = max(worst, op_norm(direct - product))
     ok = worst <= 1e-10
     _report("criterion 8 (triangular reconstruction)", ok,

@@ -2,7 +2,7 @@
 
 Permutation representations act by index gathers and labelled (sharp,
 diagonal) PVMs relativize by moving blocks.  Each test rebuilds the same
-representation with ``rep_from_matrices`` and the same POVM with a plain
+representation with ``UnitaryRep(group, matrices)`` and the same POVM with a plain
 ``POVM(space, effects)``, which carry no structure and so take the dense
 path, and requires agreement at machine precision.
 """
@@ -15,7 +15,9 @@ import pytest
 from qrframes import (
     POVM,
     CovarianceError,
+    HomogeneousYenMap,
     MultiFrameScenario,
+    UnitaryRep,
     YenMap,
     born,
     canonical_frame,
@@ -25,10 +27,8 @@ from qrframes import (
     left_regular_rep,
     left_right_rep,
     relative_orientation,
-    rep_from_matrices,
     triangular_reconstruction,
     uniform_povm,
-    yen_homogeneous,
 )
 from qrframes.builtins import builtin_group, character_rep, permutation_rep, standard_system_rep
 from qrframes.groups import CosetSpace, Subgroup
@@ -57,7 +57,7 @@ def _system(group, kind):
 
 
 def _dense_rep(rep):
-    dense = rep_from_matrices(rep.group, rep.matrices)
+    dense = UnitaryRep(rep.group, rep.matrices)
     assert rep.permutations is not None and dense.permutations is None
     return dense
 
@@ -162,7 +162,7 @@ def _rotated_frame(frame, rng):
     """The frame conjugated by a random unitary: no labels, no permutations."""
     g = rng.normal(size=(frame.dim,) * 2) + 1j * rng.normal(size=(frame.dim,) * 2)
     v = np.linalg.qr(g)[0]
-    rep = rep_from_matrices(frame.group, [v @ u @ v.conj().T for u in frame.rep.matrices])
+    rep = UnitaryRep(frame.group, [v @ u @ v.conj().T for u in frame.rep.matrices])
     return classify_frame(rep, POVM(frame.povm.space,
                                     [v @ e @ v.conj().T for e in frame.povm.effects]))
 
@@ -246,8 +246,8 @@ def test_homogeneous_yen_matches_dense(name, rng):
     # an operator invariant under the isotropy subgroup
     b = random_hermitian(rng, sys_rep.dim)
     a = sum(sys_rep.act_op(h, b) for h in cosets.subgroup) / cosets.subgroup.order
-    expected = yen_homogeneous(_dense_frame(frame), _dense_rep(sys_rep), a)
-    _close(yen_homogeneous(frame, sys_rep, a), expected)
+    expected = HomogeneousYenMap(_dense_frame(frame), _dense_rep(sys_rep)).apply(a)
+    _close(HomogeneousYenMap(frame, sys_rep).apply(a), expected)
 
 
 def _reference_apply(frame, sys_rep, a):

@@ -7,10 +7,10 @@ import pytest
 
 from qrframes import (
     POVM,
+    UnitaryRep,
     canonical_scheme,
     classify_frame,
     coherent_state_povm,
-    rep_from_matrices,
 )
 from qrframes.builtins import builtin_group, standard_system_rep
 from qrframes.groups import CosetSpace, Subgroup
@@ -84,7 +84,7 @@ def test_isotropy_of_a_dense_coset_frame_matches_loop(name):
     # rep nor the POVM carries structure
     perm = coset_permutation_rep(cosets)
     v = np.linalg.qr(np.random.default_rng(7).normal(size=(perm.dim,) * 2))[0]
-    rep = rep_from_matrices(group, [v @ perm.mat(g) @ v.T for g in group.elements()])
+    rep = UnitaryRep(group, [v @ perm.mat(g) @ v.T for g in group.elements()])
     effects = [v @ np.diag(np.eye(perm.dim)[c]) @ v.T for c in range(perm.dim)]
     frame = classify_frame(rep, POVM(CosetSampleSpace(cosets), effects))
     expected = tuple(

@@ -5,17 +5,18 @@ from qrframes import canonical_frame, cyclic_group
 from qrframes.io import (
     FormatError,
     frame_from_json,
-    frame_to_json,
     group_from_json,
     group_to_json,
     operator_from_json,
     operator_to_json,
     resolve_group,
     scenario_from_json,
-    scheme_from_json,
 )
-from qrframes.measurement import canonical_scheme
 from qrframes.operators import random_density
+
+
+def _effects_json(frame):
+    return [operator_to_json(e) for e in frame.povm.effects]
 
 
 def test_group_roundtrip(s3):
@@ -65,7 +66,8 @@ def test_resolve_group_builtin():
 
 def test_frame_roundtrip(z4=cyclic_group(4)):
     frame = canonical_frame(z4, "left_right")
-    doc = frame_to_json(frame)
+    doc = {"group": group_to_json(z4), "rep": "left_right",
+           "povm": {"space": "group", "effects": _effects_json(frame)}}
     rebuilt = frame_from_json(doc)
     assert rebuilt.ideal and rebuilt.localizable
     for x in z4.elements():
@@ -108,22 +110,6 @@ def test_scenario_needs_frames():
         scenario_from_json({"group": {"builtin": "z2"}, "frames": []})
 
 
-def test_scheme_roundtrip(z3=cyclic_group(3)):
-    fixture = canonical_scheme(z3)
-    doc = {
-        "group": {"builtin": "z3"},
-        "rep": "left_regular",
-        "interaction": operator_to_json(fixture.interaction),
-        "pointer_povm": "canonical",
-        "pointer_state": operator_to_json(fixture.pointer_state),
-        "outcome_map": list(fixture.outcome_map),
-        "target": "canonical",
-    }
-    scheme = scheme_from_json(doc)
-    assert np.allclose(scheme.interaction, fixture.interaction)
-    assert scheme.outcome_map == fixture.outcome_map
-
-
 def test_coset_frame_roundtrip():
     from qrframes.groups import CosetSpace, Subgroup, cyclic_group as cg
     from qrframes.quantum import canonical_coset_pvm, classify_frame, coset_permutation_rep
@@ -131,8 +117,10 @@ def test_coset_frame_roundtrip():
     z4 = cg(4)
     cs = CosetSpace(z4, Subgroup(z4, [0, 2]))
     frame = classify_frame(coset_permutation_rep(cs), canonical_coset_pvm(cs))
-    doc = frame_to_json(frame)
-    assert doc["povm"]["space"] == {"coset_subgroup": [0, 2]}
+    doc = {"group": group_to_json(z4),
+           "rep": {"matrices": [operator_to_json(m) for m in frame.rep.matrices]},
+           "povm": {"space": {"coset_subgroup": list(cs.subgroup.members)},
+                    "effects": _effects_json(frame)}}
     rebuilt = frame_from_json(doc)
     assert not rebuilt.principal
     for c in range(2):

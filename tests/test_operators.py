@@ -7,7 +7,6 @@ from qrframes import (
     HermitianBasis,
     contract_factor,
     embed_factors,
-    hs_inner,
     is_density,
     is_effect,
     is_positive,
@@ -193,7 +192,7 @@ def test_positivity_construction_oracle(rng):
 
 
 def test_hs_inner_and_norm():
-    assert hs_inner(np.eye(4), np.eye(4)) == pytest.approx(4.0)
+    assert np.vdot(np.eye(4), np.eye(4)) == pytest.approx(4.0)
     proj = np.diag([1.0, 0.0, 0.0])
     assert op_norm(proj) == pytest.approx(1.0)
     assert op_norm(np.zeros((2, 2))) == pytest.approx(0.0)
@@ -224,7 +223,7 @@ def test_hermitian_basis_orthonormal():
     mats = basis.matrices
     for i, a in enumerate(mats):
         for j, b in enumerate(mats):
-            assert hs_inner(a, b) == pytest.approx(1.0 if i == j else 0.0, abs=1e-12)
+            assert np.vdot(a, b) == pytest.approx(1.0 if i == j else 0.0, abs=1e-12)
 
 
 def test_hermitian_basis_reconstruction(rng):
@@ -237,7 +236,7 @@ def test_hermitian_basis_reconstruction(rng):
         assert np.allclose(basis.from_coords(coords), a)
         # coefficients are the HS inner products and are real
         for c, m in zip(coords, basis.matrices):
-            assert hs_inner(m, a) == pytest.approx(c, abs=1e-12)
+            assert np.vdot(m, a) == pytest.approx(c, abs=1e-12)
 
 
 def test_random_density_is_density(rng):

@@ -5,6 +5,7 @@ from qrframes import (
     CovarianceError,
     POVM,
     ResolutionOfIdentityError,
+    UnitaryRep,
     UnsupportedFrameError,
     born,
     canonical_frame,
@@ -17,7 +18,6 @@ from qrframes import (
     left_regular_rep,
     left_right_rep,
     localizing_state,
-    rep_from_matrices,
     trivial_rep,
     uniform_povm,
 )
@@ -69,7 +69,7 @@ def test_canonical_pvm_left_regular_z2(z2):
 
 
 def test_canonical_pvm_needs_builtin_rep(z2):
-    custom = rep_from_matrices(z2, [np.eye(2), np.diag([1.0, -1.0])])
+    custom = UnitaryRep(z2, [np.eye(2), np.diag([1.0, -1.0])])
     with pytest.raises(ValueError, match="left_regular or left_right"):
         canonical_pvm(custom)
 
@@ -257,7 +257,7 @@ def test_coset_pvm_is_covariant_frame(z4):
 def test_rep_validation_rejects_non_homomorphism(z3):
     mats = [np.eye(2), np.diag([1.0, -1.0]), np.eye(2)]
     with pytest.raises(ValueError, match="homomorphism"):
-        rep_from_matrices(z3, mats)
+        UnitaryRep(z3, mats)
 
 
 def test_trivial_rep(s3):

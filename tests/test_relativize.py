@@ -3,13 +3,13 @@ import pytest
 
 from qrframes import (
     HermitianBasis,
+    HomogeneousYenMap,
     POVM,
     UnsupportedFrameError,
     YenMap,
     born,
     canonical_frame,
     classify_frame,
-    conditioned_yen,
     convolve,
     cyclic_group,
     g_twirl,
@@ -24,14 +24,11 @@ from qrframes import (
     restrict,
     trivial_rep,
     uniform_povm,
-    yen,
-    yen_homogeneous,
-    yen_predual,
 )
 from qrframes.groups import CosetSpace, Subgroup
 from qrframes.opequiv import average_over
 from qrframes.operators import dagger, permute_factors, random_density, random_hermitian
-from qrframes.quantum import PointSpace, canonical_coset_pvm, coset_permutation_rep
+from qrframes.quantum import GroupSpace, canonical_coset_pvm, coset_permutation_rep
 from qrframes.relativize import PreconditionError
 
 
@@ -42,19 +39,19 @@ def _frame_and_system(group):
 def test_yen_invariant_operand_decouples(s3, rng):
     frame, sys_rep = _frame_and_system(s3)
     a = g_twirl(sys_rep, random_hermitian(rng, 6))
-    out = yen(frame, sys_rep, a)
+    out = YenMap(frame, sys_rep).apply(a)
     assert np.allclose(out, kron(np.eye(6), a))
 
 
 def test_yen_unital(s3):
     frame, sys_rep = _frame_and_system(s3)
-    assert np.allclose(yen(frame, sys_rep, np.eye(6)), np.eye(36))
+    assert np.allclose(YenMap(frame, sys_rep).apply(np.eye(6)), np.eye(36))
 
 
 def test_yen_z2_two_term_oracle(z2):
     frame, sys_rep = _frame_and_system(z2)
     a = np.diag([1.0, 0.0])
-    out = yen(frame, sys_rep, a)
+    out = YenMap(frame, sys_rep).apply(a)
     # two-term sum: E(0) (x) A + E(1) (x) U(1) A U(1)^dag
     expected = kron(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])) + kron(
         np.diag([0.0, 1.0]), np.diag([0.0, 1.0])
@@ -65,8 +62,9 @@ def test_yen_z2_two_term_oracle(z2):
 def test_yen_invariance_property(s3, rng):
     frame, sys_rep = _frame_and_system(s3)
     diag = frame.rep.tensor(sys_rep)
+    ym = YenMap(frame, sys_rep)
     for b in HermitianBasis(6).matrices[:12]:
-        image = yen(frame, sys_rep, b)
+        image = ym.apply(b)
         for h in s3.elements():
             assert op_norm(diag.act_op(h, image) - image) <= 1e-10
 
@@ -115,16 +113,17 @@ def test_yen_rejects_non_principal(z4):
     cs = CosetSpace(z4, Subgroup(z4, [0, 2]))
     frame = classify_frame(coset_permutation_rep(cs), canonical_coset_pvm(cs))
     with pytest.raises(UnsupportedFrameError, match="principal"):
-        yen(frame, left_regular_rep(z4), np.eye(4))
+        YenMap(frame, left_regular_rep(z4))
 
 
 def test_yen_predual_aligned_state(s3, rng):
     frame, sys_rep = _frame_and_system(s3)
     aligned = np.zeros((6, 6), dtype=complex)
     aligned[s3.identity, s3.identity] = 1.0
+    ym = YenMap(frame, sys_rep)
     for _ in range(5):
         rho = random_density(rng, 6)
-        assert op_norm(yen_predual(frame, sys_rep, kron(aligned, rho)) - rho) <= 1e-12
+        assert op_norm(ym.predual(kron(aligned, rho)) - rho) <= 1e-12
 
 
 def test_yen_predual_vectorized_adjoint_oracle(rng):
@@ -147,12 +146,12 @@ def test_yen_predual_invariant_product(s3, rng):
     frame, sys_rep = _frame_and_system(s3)
     rho = g_twirl_predual(sys_rep, random_density(rng, 6))
     omega = random_density(rng, 6)
-    assert op_norm(yen_predual(frame, sys_rep, kron(omega, rho)) - rho) <= 1e-12
+    assert op_norm(YenMap(frame, sys_rep).predual(kron(omega, rho)) - rho) <= 1e-12
 
 
 def test_convolve_trivial_povm(z3):
     frame, sys_rep = _frame_and_system(z3)
-    trivial = POVM(PointSpace(1), [np.eye(3)])
+    trivial = POVM(GroupSpace(cyclic_group(1)), [np.eye(3)])
     out = convolve(trivial, frame, sys_rep)
     assert out.size == 1
     assert np.allclose(out.effect(0), np.eye(9))
@@ -242,40 +241,39 @@ def test_restrict_unital_and_duality(s3, rng):
 def test_conditioned_yen_localized_identity(s3, rng):
     frame, sys_rep = _frame_and_system(s3)
     omega = localizing_state(frame, s3.identity)
+    ym = YenMap(frame, sys_rep)
     for b in HermitianBasis(6).matrices:
-        assert op_norm(conditioned_yen(frame, sys_rep, omega, b) - b) <= 1e-10
+        assert op_norm(ym.conditioned(omega, b) - b) <= 1e-10
 
 
 def test_conditioned_yen_invariant_state_is_twirl(s3, rng):
     frame, sys_rep = _frame_and_system(s3)
     invariant = g_twirl_predual(frame.rep, random_density(rng, 6))
+    ym = YenMap(frame, sys_rep)
     for _ in range(10):
         a = random_hermitian(rng, 6)
-        assert op_norm(
-            conditioned_yen(frame, sys_rep, invariant, a) - g_twirl(sys_rep, a)
-        ) <= 1e-10
+        assert op_norm(ym.conditioned(invariant, a) - g_twirl(sys_rep, a)) <= 1e-10
 
 
 def test_conditioned_yen_depends_only_on_distribution(s3, rng):
     frame, sys_rep = _frame_and_system(s3)
+    ym = YenMap(frame, sys_rep)
     for _ in range(10):
         omega = random_density(rng, 6)
         dephased = np.diag(np.diag(omega))  # same outcome distribution
         assert np.allclose(born(frame.povm, omega), born(frame.povm, dephased))
         a = random_hermitian(rng, 6)
-        assert op_norm(
-            conditioned_yen(frame, sys_rep, omega, a)
-            - conditioned_yen(frame, sys_rep, dephased, a)
-        ) <= 1e-10
+        assert op_norm(ym.conditioned(omega, a) - ym.conditioned(dephased, a)) <= 1e-10
 
 
 def test_product_relative_state_matches_predual(s3, rng):
     frame, sys_rep = _frame_and_system(s3)
+    ym = YenMap(frame, sys_rep)
     for _ in range(10):
         omega = random_density(rng, 6)
         rho = random_density(rng, 6)
         via_sum = product_relative_state(frame, sys_rep, omega, rho)
-        via_predual = yen_predual(frame, sys_rep, kron(omega, rho))
+        via_predual = ym.predual(kron(omega, rho))
         assert op_norm(via_sum - via_predual) <= 1e-12
         assert np.trace(via_sum).real == pytest.approx(1.0)
         assert np.min(np.linalg.eigvalsh(via_sum)) >= -1e-12
@@ -325,7 +323,7 @@ def test_yen_homogeneous_whole_group(z4, rng):
     frame, cs = _coset_frame(z4, list(z4.elements()))
     sys_rep = left_regular_rep(z4)
     a = g_twirl(sys_rep, random_hermitian(rng, 4))  # invariant operand
-    out = yen_homogeneous(frame, sys_rep, a)
+    out = HomogeneousYenMap(frame, sys_rep).apply(a)
     assert np.allclose(out, kron(np.eye(1), a))
 
 
@@ -334,9 +332,9 @@ def test_yen_homogeneous_trivial_subgroup_matches_yen(z4, rng):
     sys_rep = left_regular_rep(z4)
     principal = canonical_frame(z4)
     a = random_hermitian(rng, 4)
-    hom = yen_homogeneous(frame, sys_rep, a)
+    hom = HomogeneousYenMap(frame, sys_rep).apply(a)
     # coset ids coincide with element ids when H = {e}
-    assert np.allclose(hom, yen(principal, sys_rep, a))
+    assert np.allclose(hom, YenMap(principal, sys_rep).apply(a))
 
 
 def test_yen_homogeneous_representative_independent(z4, rng):
@@ -344,7 +342,7 @@ def test_yen_homogeneous_representative_independent(z4, rng):
     sys_rep = left_regular_rep(z4)
     h_members = list(cs.subgroup)
     a = average_over(sys_rep, h_members, random_hermitian(rng, 4))
-    out = yen_homogeneous(frame, sys_rep, a)
+    out = HomogeneousYenMap(frame, sys_rep).apply(a)
     # exhaustive representative scan: recompute with every choice per coset
     coset_members = [cs.members(c) for c in range(cs.n_cosets)]
     import itertools
@@ -359,7 +357,7 @@ def test_yen_homogeneous_invariance(z4, rng):
     frame, cs = _coset_frame(z4, [0, 2])
     sys_rep = left_regular_rep(z4)
     a = average_over(sys_rep, list(cs.subgroup), random_hermitian(rng, 4))
-    out = yen_homogeneous(frame, sys_rep, a)
+    out = HomogeneousYenMap(frame, sys_rep).apply(a)
     diag = frame.rep.tensor(sys_rep)
     for h in z4.elements():
         assert op_norm(diag.act_op(h, out) - out) <= 1e-10
@@ -370,7 +368,7 @@ def test_yen_homogeneous_rejects_variant_operand(z4, rng):
     sys_rep = left_regular_rep(z4)
     a = np.diag([1.0, 0.0, 0.0, 0.0])  # not invariant under the subgroup
     with pytest.raises(PreconditionError) as excinfo:
-        yen_homogeneous(frame, sys_rep, a)
+        HomogeneousYenMap(frame, sys_rep).apply(a)
     assert excinfo.value.deviation > 0.5
 
 
