@@ -53,6 +53,7 @@ from .opequiv import (
     EffectContext,
     ProductContext,
     equivalent,
+    fixed_subspace,
     framed_subspace,
     g_twirl,
     g_twirl_predual,

@@ -8,7 +8,7 @@ Formats:
              "povm": "canonical"|{"space": "group"|{"coset_subgroup": [...]},
                                   "effects": [<operator>...]}}
   scenario  {"group": ..., "frames": [<frame>...],
-             "system": {"rep": ..., "dim": n}?, "seed": int?}
+             "system": {"rep": ..., "dim": n}?}
 
 Decoders validate shapes and reject ragged arrays.
 """

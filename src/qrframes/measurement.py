@@ -15,8 +15,7 @@ drains it into the worst deviation, the trial count and the witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -39,8 +38,7 @@ class MeasurementScheme:
     """Pointer coupling (U, f, E_R, omega_p) for a target observable E_S.
 
     Immutable after construction: no field can be rebound, and the
-    interaction and the pointer state are read-only copies, so the evolved
-    pointer effects, built on first use, always belong to this interaction.
+    interaction and the pointer state are read-only copies.
     """
 
     interaction: np.ndarray
@@ -57,6 +55,8 @@ class MeasurementScheme:
         if op_norm(u @ dagger(u) - np.eye(d)) > 1e-9:
             raise ValueError("interaction is not unitary")
         omega = np.array(as_operator(self.pointer_state))
+        if omega.shape != (self.pointer_povm.dim,) * 2:
+            raise ValueError(f"pointer state shape {omega.shape} is not the pointer dim squared")
         if not is_density(omega, 1e-6):
             raise ValueError("pointer state must be a density operator")
         f = tuple(int(x) for x in self.outcome_map)
@@ -70,33 +70,34 @@ class MeasurementScheme:
         object.__setattr__(self, "pointer_state", omega)
         object.__setattr__(self, "outcome_map", f)
 
-    def evolved_pointer_effect(self, xs: Sequence[int]) -> np.ndarray:
-        """U (E_R(X) (x) 1) U^dag for a pointer subset X."""
-        singles = self._evolved_singles
-        total = np.zeros_like(self.interaction)
-        for x in xs:
-            total = total + singles[x]
-        return total
-
-    @cached_property
-    def _evolved_singles(self) -> list:
-        eye = np.eye(self.target.dim, dtype=complex)
-        return [
-            self.interaction @ np.kron(self.pointer_povm.effect(x), eye)
-            @ dagger(self.interaction)
-            for x in range(self.pointer_povm.size)
-        ]
-
-    def preimage(self, y: int) -> list:
-        return [x for x in range(self.pointer_povm.size) if self.outcome_map[x] == y]
+    def reproduced(self, omega: np.ndarray,
+                   read_out: Optional[Sequence[int]] = None) -> np.ndarray:
+        """The stack over target outcomes y of Tr_R[(omega (x) 1) U (E_R(X_y)
+        (x) 1) U^dag], X_y the pointer outcomes that ``read_out`` (by default
+        the outcome map) sends to y.  In Kraus form, with omega = sum_v l_v
+        |v><v| and K_v = (<v| (x) 1) U, it sums l_v K_v (E_R(x) (x) 1) K_v^dag;
+        exact zeros l_v are dropped, so a pure pointer state costs one K_v.
+        """
+        read_out = self.outcome_map if read_out is None else read_out
+        d_r, d_s = self.pointer_povm.dim, self.target.dim
+        lam, vecs = np.linalg.eigh(as_operator(omega))
+        keep = lam != 0
+        # kraus[v, s, x, t] = <v, s| U |x, t>
+        kraus = np.tensordot(vecs[:, keep].conj(),
+                             self.interaction.reshape(d_r, d_s, d_r, d_s), axes=(0, 0))
+        sandwiched = np.tensordot(kraus * lam[keep, None, None, None],
+                                  np.asarray(self.pointer_povm.effects), axes=(2, 1))
+        singles = np.einsum("vstey,vuyt->esu", sandwiched, kraus.conj(), optimize=True)
+        out = np.zeros((self.target.size, d_s, d_s), dtype=complex)
+        np.add.at(out, np.asarray(read_out, dtype=np.intp), singles)
+        return out
 
 
 def check_prc(scheme: MeasurementScheme):
     """Probability reproducibility: conditioning the evolved pointer effect on
     the pointer state must return the target effect, for every outcome y."""
-    for y in range(scheme.target.size):
-        lhs = restrict(scheme.pointer_state, scheme.evolved_pointer_effect(scheme.preimage(y)))
-        yield op_norm(lhs - scheme.target.effect(y)), {"y": y}
+    for y, effect in enumerate(scheme.reproduced(scheme.pointer_state)):
+        yield op_norm(effect - scheme.target.effect(y)), {"y": y}
 
 
 def commutation_deviation(scheme: MeasurementScheme, rep_r: UnitaryRep):
@@ -122,10 +123,11 @@ def check_rrc(scheme: MeasurementScheme, rep_r: UnitaryRep, tol: float = DEFAULT
         )
     for h in rep_r.group.elements():
         omega_h = rep_r.act_op(h, scheme.pointer_state)
-        for y in range(scheme.target.size):
-            shifted = [scheme.pointer_povm.act(h, x) for x in scheme.preimage(y)]
-            lhs = restrict(omega_h, scheme.evolved_pointer_effect(shifted))
-            yield op_norm(lhs - scheme.target.effect(y)), {"h": h, "y": y}
+        # the read-out set of y moves to h.X_y: z is read as f(h^-1.z)
+        read_out = [scheme.outcome_map[scheme.pointer_povm.act(rep_r.group.inv(h), z)]
+                    for z in range(scheme.pointer_povm.size)]
+        for y, effect in enumerate(scheme.reproduced(omega_h, read_out)):
+            yield op_norm(effect - scheme.target.effect(y)), {"h": h, "y": y}
 
 
 def rrc_relative_orientation(frame_r: Frame, system: Frame):

@@ -11,6 +11,7 @@ vectorization.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -105,8 +106,8 @@ class EffectContext(_SpanViews):
             self._span = vh[:rank]
         else:
             self._span = np.zeros((0, self.basis.size))
-        # contexts are shared (the suite runner's memo), so every array they
-        # cache is read-only, as POVM effects are
+        # contexts are shared (MultiFrameScenario caches its framing
+        # contexts), so every array they cache is read-only, as POVM effects are
         self._span.setflags(write=False)
         self._kernel: Optional[np.ndarray] = None
 
@@ -317,6 +318,25 @@ def invariant_subspace(rep: UnitaryRep) -> EffectContext:
     gens = np.concatenate([rep.orbit(mats[k:k + step]).mean(axis=1)
                            for k in range(0, basis.size, step)])
     return EffectContext(gens, dim=rep.dim)
+
+
+def fixed_subspace(ctx: Context, reps: Sequence[UnitaryRep]) -> EffectContext:
+    """The part of the span of ``ctx`` that every g fixes, for one rep per
+    tensor slot (one for an EffectContext): ``intersect`` with the invariant
+    operators of the product rep.  The twirl compressed onto the span,
+    (1/|G|) sum_g (x)_k Gram_k(g) with Gram_k(g)[a, b] = tr[S_a g.S_b] over
+    slot k's orthonormal span S, has the cos^2 of the principal angles as
+    eigenvalues (Bjorck & Golub 1973), and its eigenvectors at >= 1 -
+    DEFAULT_TOL span the overlap.  The span need not be G-stable, and no
+    d**2-generator twirl is formed."""
+    slots = ctx.slots if isinstance(ctx, ProductContext) else (ctx,)
+    if len(reps) != len(slots) or any(r.dim != s.dim for r, s in zip(reps, slots)):
+        raise ValueError("need one rep per slot, each of the slot's dim")
+    grams = [np.einsum("aji,bgij->gab", s._span_stack, r.orbit(s._span_stack[:, None])).real
+             for s, r in zip(slots, reps)]
+    w, v = np.linalg.eigh(sum(reduce(np.kron, at_g) for at_g in zip(*grams)) / len(grams[0]))
+    fixed = v[:, w >= 1.0 - DEFAULT_TOL].T @ ctx.span_coords
+    return EffectContext(ctx.basis.from_coords(fixed), dim=ctx.dim)
 
 
 def framed_subspace(frame: Frame, system_dim: int) -> ProductContext:

@@ -249,13 +249,7 @@ def relational_span_report(frame: Frame, sys_rep: UnitaryRep) -> dict:
     invariant operators; on proper coset spaces both sides are computed and
     reported per instance.
     """
-    from .opequiv import (
-        EffectContext,
-        average_over,
-        framed_subspace,
-        intersect,
-        invariant_subspace,
-    )
+    from .opequiv import EffectContext, average_over, fixed_subspace, framed_subspace
     from .operators import HermitianBasis
 
     sys_basis = HermitianBasis(sys_rep.dim)
@@ -268,8 +262,7 @@ def relational_span_report(frame: Frame, sys_rep: UnitaryRep) -> dict:
         ym = YenMap(frame, sys_rep)
         relativized = [ym.apply(b) for b in sys_basis.matrices]
     rel_ctx = EffectContext(relativized, dim=frame.dim * sys_rep.dim)
-    diag_rep = frame.rep.tensor(sys_rep)
-    target = intersect(framed_subspace(frame, sys_rep.dim), invariant_subspace(diag_rep))
+    target = fixed_subspace(framed_subspace(frame, sys_rep.dim), [frame.rep, sys_rep])
     contained = all(
         op_norm(row - target.project(row)) <= 1e-9 for row in rel_ctx.span_basis
     )

@@ -19,9 +19,8 @@ from __future__ import annotations
 import math
 import time
 import zlib
-from contextvars import ContextVar
 from functools import partial
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -38,11 +37,10 @@ from .groups import FiniteGroup
 from .measurement import canonical_scheme, check_prc, check_rrc, rrc_relative_orientation
 from .opequiv import (
     EffectContext,
+    fixed_subspace,
     framed_subspace,
     g_twirl,
     g_twirl_predual,
-    intersect,
-    invariant_subspace,
     span_residual,
 )
 from .operators import (
@@ -186,28 +184,15 @@ def check_yen_predual_duality(group, rng, tol, trials):
 # exhaustiveness of relativized effects
 # ---------------------------------------------------------------------------
 
-# Values shared by the checks of the current run_checks call, built once; a
-# check called on its own builds what it needs.
-_RUN_MEMO: ContextVar[Optional[dict]] = ContextVar("qrframes_run_memo", default=None)
-
-
 def _exhaustiveness_contexts(group):
-    def build():
-        frame = canonical_frame(group)
-        sys_rep = standard_system_rep(group, 2)
-        ym = YenMap(frame, sys_rep)
-        relative = EffectContext([ym.apply(b) for b in HermitianBasis(sys_rep.dim).matrices],
-                                 dim=ym.dim_total)
-        framed = framed_subspace(frame, sys_rep.dim)
-        invariant = invariant_subspace(frame.rep.tensor(sys_rep))
-        return relative, framed, intersect(framed, invariant)
-
-    memo = _RUN_MEMO.get()
-    if memo is None:
-        return build()
-    if "exhaustiveness" not in memo:
-        memo["exhaustiveness"] = build()
-    return memo["exhaustiveness"]
+    """The relativized span, the framed span, and its invariant part."""
+    frame = canonical_frame(group)
+    sys_rep = standard_system_rep(group, 2)
+    ym = YenMap(frame, sys_rep)
+    relative = EffectContext([ym.apply(b) for b in HermitianBasis(sys_rep.dim).matrices],
+                             dim=ym.dim_total)
+    framed = framed_subspace(frame, sys_rep.dim)
+    return relative, framed, fixed_subspace(framed, [frame.rep, sys_rep])
 
 
 def check_exhaustiveness_rank(group, rng, tol, trials):
@@ -700,23 +685,19 @@ def run_checks(group: FiniteGroup, suites: Sequence[str] = ("all",), tol: float 
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
     results = []
-    token = _RUN_MEMO.set({})
-    try:
-        for name in select_checks(suites):
-            claim, fn = CHECKS[name]
-            start = time.perf_counter()
-            record = {"name": name, "claim": claim}
-            try:
-                dev, count, witness = worst_case(fn(group, _rng_for(seed, name), tol, trials))
-            except Exception as exc:  # a check that raises fails alone
-                record["error"] = f"{type(exc).__name__}: {exc}"
-                dev, count, witness = math.nan, 0, None
-            record.update({"pass": math.isfinite(dev) and dev <= tol, "max_deviation": dev,
-                           "trials": count, "witness": witness,
-                           "runtime_ms": round((time.perf_counter() - start) * 1000.0, 3)})
-            results.append(record)
-    finally:
-        _RUN_MEMO.reset(token)
+    for name in select_checks(suites):
+        claim, fn = CHECKS[name]
+        start = time.perf_counter()
+        record = {"name": name, "claim": claim}
+        try:
+            dev, count, witness = worst_case(fn(group, _rng_for(seed, name), tol, trials))
+        except Exception as exc:  # a check that raises fails alone
+            record["error"] = f"{type(exc).__name__}: {exc}"
+            dev, count, witness = math.nan, 0, None
+        record.update({"pass": math.isfinite(dev) and dev <= tol, "max_deviation": dev,
+                       "trials": count, "witness": witness,
+                       "runtime_ms": round((time.perf_counter() - start) * 1000.0, 3)})
+        results.append(record)
     results.sort(key=lambda r: r["name"])
     passed = sum(1 for r in results if r["pass"])
     return {

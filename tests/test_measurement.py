@@ -22,9 +22,10 @@ from qrframes import (
     uniform_povm,
     worst_case,
 )
-from qrframes.operators import random_density
-from qrframes.quantum import GroupSpace
-from qrframes.relativize import PreconditionError
+from qrframes.builtins import builtin_group, quaternion_2d_rep
+from qrframes.operators import dagger, random_density, random_pure_state
+from qrframes.quantum import GroupSpace, coherent_state_povm
+from qrframes.relativize import PreconditionError, restrict
 
 GROUPS = [cyclic_group(2), cyclic_group(4), symmetric_group(3), dihedral_group(4)]
 
@@ -107,20 +108,78 @@ def test_prc_witness_is_the_worst_outcome(z3):
     assert trials == 3
 
 
+def _dense_reproduced(scheme, omega, read_out):
+    """The dense PRC oracle: restrict(omega, U (E_R(X_y) (x) 1) U^dag) for
+    every target outcome y, X_y the pointer outcomes read as y."""
+    u = scheme.interaction
+    eye = np.eye(scheme.target.dim)
+    out = []
+    for y in range(scheme.target.size):
+        e_y = sum((scheme.pointer_povm.effect(x) for x in range(scheme.pointer_povm.size)
+                   if read_out[x] == y), np.zeros((scheme.pointer_povm.dim,) * 2))
+        out.append(restrict(omega, u @ np.kron(e_y, eye) @ dagger(u)))
+    return np.array(out)
+
+
+def _random_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _coherent_scheme(rng):
+    """A scheme with a dense pointer POVM: the coherent states of q8's 2-dim
+    irrep, a random (non-permutation) interaction, and the canonical PVM of
+    q8 as the target."""
+    q8 = builtin_group("q8")
+    seed = rng.normal(size=2) + 1j * rng.normal(size=2)
+    pointer = coherent_state_povm(quaternion_2d_rep(q8), seed)
+    return MeasurementScheme(_random_unitary(rng, 2 * 8), pointer, random_density(rng, 2),
+                             list(range(8)), canonical_pvm(left_regular_rep(q8)))
+
+
+def _canonical_s3_scheme(rng, random_interaction):
+    scheme = canonical_scheme(symmetric_group(3))
+    if not random_interaction:
+        return scheme
+    return MeasurementScheme(_random_unitary(rng, 36), scheme.pointer_povm,
+                             scheme.pointer_state, scheme.outcome_map, scheme.target)
+
+
+@pytest.mark.parametrize("case", ("canonical", "random_interaction", "coherent_pointer"))
+def test_reproduced_matches_dense_restriction(case, rng):
+    # the Kraus-form PRC against the dense omega-restriction, on mixed and
+    # pure pointer states and on injective and merging read-out maps
+    if case == "coherent_pointer":
+        scheme = _coherent_scheme(rng)
+    else:
+        scheme = _canonical_s3_scheme(rng, case == "random_interaction")
+    n_pointer, n_target = scheme.pointer_povm.size, scheme.target.size
+    d_r = scheme.pointer_povm.dim
+    states = [scheme.pointer_state, random_pure_state(rng, d_r)]
+    states += [random_density(rng, d_r) for _ in range(3)]
+    maps = [None, [0] * n_pointer]
+    maps += [list(rng.integers(n_target, size=n_pointer)) for _ in range(3)]
+    assert any(len(set(m)) < n_pointer for m in maps[2:])
+    for omega in states:
+        for read_out in maps:
+            oracle = _dense_reproduced(scheme, omega,
+                                       scheme.outcome_map if read_out is None else read_out)
+            assert np.max(np.abs(scheme.reproduced(omega, read_out) - oracle)) <= 1e-12
+
+
 def test_rrc_at_identity_is_prc(s3):
     scheme = canonical_scheme(s3)
     prc_worst = worst_case(check_prc(scheme))[0]
-    rep = left_regular_rep(s3)
-    # restricting the relational check to h = e reproduces the plain one
-    omega = scheme.pointer_state
-    worst = 0.0
-    for y in range(scheme.target.size):
-        lhs_ops = scheme.evolved_pointer_effect(scheme.preimage(y))
-        from qrframes import restrict
-
-        lhs = restrict(omega, lhs_ops)
-        worst = max(worst, np.max(np.abs(lhs - scheme.target.effect(y))))
+    # restricting the relational check to h = e reproduces the plain one:
+    # its read-out z -> f(e.z) is the outcome map itself
+    omega = left_regular_rep(s3).act_op(s3.identity, scheme.pointer_state)
+    read_out = [scheme.outcome_map[scheme.pointer_povm.act(s3.identity, z)]
+                for z in range(scheme.pointer_povm.size)]
+    lhs = _dense_reproduced(scheme, omega, read_out)
+    worst = max(np.max(np.abs(lhs[y] - scheme.target.effect(y)))
+                for y in range(scheme.target.size))
     assert worst <= 1e-10
+    assert np.max(np.abs(scheme.reproduced(omega, read_out) - lhs)) <= 1e-12
     assert prc_worst <= 1e-9
 
 
@@ -206,19 +265,26 @@ def test_scheme_validation():
             outcome_map=[0, 5],
             target=scheme.target,
         )
+    # a density operator of the composite's size is not a pointer state
+    z3_scheme = canonical_scheme(cyclic_group(3))
+    with pytest.raises(ValueError, match="pointer state shape"):
+        MeasurementScheme(z3_scheme.interaction, z3_scheme.pointer_povm, np.eye(9) / 9,
+                          z3_scheme.outcome_map, z3_scheme.target)
 
 
-def test_outcome_map_merging(z4):
+def test_outcome_map_merging(z4, rng):
     # a non-injective read-out map sums the pointer effects it identifies
     scheme = canonical_scheme(z4)
-    merged = scheme.evolved_pointer_effect([0, 2])
-    parts = scheme.evolved_pointer_effect([0]) + scheme.evolved_pointer_effect([2])
-    assert np.allclose(merged, parts)
+    omega = random_density(rng, 4)
+    singles = scheme.reproduced(omega)
+    merged = scheme.reproduced(omega, [0, 1, 0, 3])
+    assert np.allclose(merged[0], singles[0] + singles[2])
+    assert np.allclose(merged[2], 0.0)
+    assert np.max(np.abs(merged - _dense_reproduced(scheme, omega, [0, 1, 0, 3]))) <= 1e-12
 
 
 def test_scheme_is_immutable(z3):
-    # the evolved pointer effects are cached on first use, so neither a field
-    # nor an array of a scheme may change after construction
+    # neither a field nor an array of a scheme may change after construction
     scheme = canonical_scheme(z3)
     assert worst_case(check_prc(scheme))[0] == 0.0
     with pytest.raises(FrozenInstanceError):

@@ -3,9 +3,12 @@ import pytest
 
 from qrframes import (
     EffectContext,
+    ProductContext,
     canonical_frame,
+    classify_frame,
     cyclic_group,
     equivalent,
+    fixed_subspace,
     framed_subspace,
     g_twirl,
     g_twirl_predual,
@@ -15,9 +18,11 @@ from qrframes import (
     op_norm,
     trivial_rep,
 )
-from qrframes.builtins import builtin_group, standard_system_rep
+from qrframes.builtins import BUILTIN_NAMES, builtin_group, standard_system_rep
+from qrframes.groups import CosetSpace, Subgroup
 from qrframes.opequiv import span_residual
 from qrframes.operators import HermitianBasis, random_density, random_hermitian
+from qrframes.quantum import canonical_coset_pvm, coset_permutation_rep
 
 
 def _kernel(ctx):
@@ -272,6 +277,79 @@ def test_intersect_matches_dense_oracle(name):
         assert inter.rank == oracle.rank
         assert span_residual(inter, oracle) <= 1e-12
         assert span_residual(oracle, inter) <= 1e-12
+
+
+def _assert_same_span(a, b):
+    assert a.rank == b.rank
+    assert span_residual(a, b) <= 1e-12
+    assert span_residual(b, a) <= 1e-12
+
+
+def _fixed_against_oracle(ctx, reps):
+    """fixed_subspace against the dense intersection with the invariant
+    operators of the product rep; returns the fixed part."""
+    fixed = fixed_subspace(ctx, reps)
+    product = reps[0]
+    for rep in reps[1:]:
+        product = product.tensor(rep)
+    _assert_same_span(fixed, intersect(ctx, invariant_subspace(product)))
+    return fixed
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_fixed_subspace_matches_intersect_on_framed_spans(name):
+    group = builtin_group(name)
+    frame = canonical_frame(group)
+    sys_rep = standard_system_rep(group, 2)
+    fixed = _fixed_against_oracle(framed_subspace(frame, 2), [frame.rep, sys_rep])
+    # one system operator per orbit of the regular sample space
+    assert fixed.rank == 4
+
+
+def test_fixed_subspace_matches_intersect_on_a_coset_frame(s3):
+    # a sharp frame on s3/H with H a non-normal subgroup of order 2
+    member = next(g for g in s3.elements() if g != s3.identity and s3.mul(g, g) == s3.identity)
+    cosets = CosetSpace(s3, Subgroup(s3, [s3.identity, member]))
+    frame = classify_frame(coset_permutation_rep(cosets), canonical_coset_pvm(cosets))
+    sys_rep = standard_system_rep(s3, 2)
+    fixed = _fixed_against_oracle(framed_subspace(frame, 2), [frame.rep, sys_rep])
+    assert fixed.rank > 0
+
+
+def _moves_out_of(ctx, rep):
+    """The largest distance from the span of ctx of some g.S, S a span basis
+    operator: positive when the span is not G-stable."""
+    return max(op_norm(m - ctx.project(m)) for x in ctx.span_basis for m in rep.orbit(x))
+
+
+def test_fixed_subspace_of_a_span_that_is_not_g_stable(s3, rng):
+    # random generators next to two invariant ones: the fixed part is the
+    # invariant pair, found without the span being covariant
+    rep = standard_system_rep(s3, 2).tensor(left_regular_rep(s3))
+    noise = [random_hermitian(rng, rep.dim) for _ in range(3)]
+    invariant = [g_twirl(rep, random_hermitian(rng, rep.dim)) for _ in range(2)]
+    ctx = EffectContext(noise + invariant + [noise[0] + invariant[0]])
+    assert _moves_out_of(ctx, rep) > 1e-3
+    assert _fixed_against_oracle(ctx, [rep]).rank == 2
+
+
+def test_fixed_subspace_of_a_non_covariant_product(s3, rng):
+    # a product whose first slot holds a non-covariant effect family
+    frame = canonical_frame(s3)
+    sys_rep = standard_system_rep(s3, 2)
+    slot = EffectContext([np.eye(6), np.diag([1.0, 0, 0, 0, 0, 0])]
+                         + [random_hermitian(rng, 6) for _ in range(3)])
+    ctx = ProductContext([slot, EffectContext(HermitianBasis(2).matrices)])
+    assert _moves_out_of(slot, frame.rep) > 1e-3
+    fixed = _fixed_against_oracle(ctx, [frame.rep, sys_rep])
+    # at least 1 (x) B for every invariant system operator B
+    assert fixed.rank >= invariant_subspace(sys_rep).rank
+
+
+def test_fixed_subspace_needs_one_rep_per_slot(s3):
+    frame = canonical_frame(s3)
+    with pytest.raises(ValueError, match="one rep per slot"):
+        fixed_subspace(framed_subspace(frame, 2), [frame.rep])
 
 
 def test_twirl_equivalence_in_invariant_context(s3, rng):

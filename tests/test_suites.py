@@ -74,8 +74,8 @@ def _raise_linalg(*args):
 
 @pytest.mark.parametrize("runs", (1, 2))
 def test_raising_check_fails_alone(monkeypatch, runs):
-    # Repeated runs in one process: the run memo lives for one run_checks
-    # call, so a check that raised leaves nothing behind for the next run.
+    # Repeated runs in one process: a check that raised leaves nothing
+    # behind for the next run.
     claim, _ = suites.CHECKS["yen.unital"]
     monkeypatch.setitem(suites.CHECKS, "yen.unital", (claim, _raise_linalg))
     group = cyclic_group(2)
