@@ -78,18 +78,25 @@ class MeasurementScheme:
         |v><v| and K_v = (<v| (x) 1) U, it sums l_v K_v (E_R(x) (x) 1) K_v^dag;
         exact zeros l_v are dropped, so a pure pointer state costs one K_v.
         """
-        read_out = self.outcome_map if read_out is None else read_out
-        d_r, d_s = self.pointer_povm.dim, self.target.dim
+        read_out = np.asarray(self.outcome_map if read_out is None else read_out,
+                              dtype=np.intp)
+        pointer = self.pointer_povm
+        d_r, d_s = pointer.dim, self.target.dim
         lam, vecs = np.linalg.eigh(as_operator(omega))
         keep = lam != 0
         # kraus[v, s, x, t] = <v, s| U |x, t>
         kraus = np.tensordot(vecs[:, keep].conj(),
                              self.interaction.reshape(d_r, d_s, d_r, d_s), axes=(0, 0))
-        sandwiched = np.tensordot(kraus * lam[keep, None, None, None],
-                                  np.asarray(self.pointer_povm.effects), axes=(2, 1))
-        singles = np.einsum("vstey,vuyt->esu", sandwiched, kraus.conj(), optimize=True)
+        weighted = kraus * lam[keep, None, None, None]
+        if pointer.labels is not None:
+            # E_R(x) is diagonal: one term per pointer index i, read as f(labels[i])
+            singles = np.einsum("vsit,vuit->isu", weighted, kraus.conj(), optimize=True)
+            read_out = read_out[pointer.labels]
+        else:
+            sandwiched = np.tensordot(weighted, np.asarray(pointer.effects), axes=(2, 1))
+            singles = np.einsum("vstey,vuyt->esu", sandwiched, kraus.conj(), optimize=True)
         out = np.zeros((self.target.size, d_s, d_s), dtype=complex)
-        np.add.at(out, np.asarray(read_out, dtype=np.intp), singles)
+        np.add.at(out, read_out, singles)
         return out
 
 
@@ -144,10 +151,27 @@ def rrc_relative_orientation(frame_r: Frame, system: Frame):
     orientation = relative_orientation(frame_r, system)
     omega = localizing_state(frame_r, frame_r.group.identity)
     for h in frame_r.group.elements():
-        omega_h = frame_r.rep.act_state(h, omega)
+        restricted = _restricted(frame_r.rep.act_state(h, omega), orientation)
         for x in range(system.povm.size):
-            lhs = restrict(omega_h, orientation.effect(orientation.act(h, x)))
+            lhs = restricted[orientation.act(h, x)]
             yield op_norm(lhs - system.povm.effect(x)), {"h": h, "x": x}
+
+
+def _restricted(omega: np.ndarray, povm: POVM) -> np.ndarray:
+    """The stack over outcomes y of restrict(omega, E(y)), E a POVM on the
+    composite of omega's space and a system.
+
+    For a labelled PVM only omega's diagonal enters: restrict(omega, E(y))
+    is diagonal with entry k equal to sum_i omega[i, i] [labels[i, k] == y].
+    """
+    d_r = omega.shape[0]
+    d_s = povm.dim // d_r
+    if povm.labels is None:
+        return np.array([restrict(omega, povm.effect(y)) for y in range(povm.size)])
+    diag = np.zeros((povm.size, d_s), dtype=complex)
+    np.add.at(diag, (povm.labels.reshape(d_r, d_s), np.arange(d_s)),
+              np.diagonal(omega)[:, None])
+    return diag[:, :, None] * np.eye(d_s)
 
 
 def canonical_scheme(group: FiniteGroup) -> MeasurementScheme:

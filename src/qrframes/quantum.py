@@ -250,12 +250,14 @@ class CosetSampleSpace:
 class POVM:
     """A POVM on a finite sample space: one effect per point, summing to I.
 
-    ``effects`` is a tuple of read-only views into one array the POVM owns.
-    A sharp PVM that is diagonal in the computational basis also carries
-    ``labels``: E(x) is the projector onto the basis indices i with
-    labels[i] == x.  Outcome statistics and relativization then read
-    diagonals and move blocks instead of multiplying effects; ``labels`` is
-    None for every other POVM.
+    A general POVM keeps its effects as read-only views into one array it
+    owns.  A sharp PVM that is diagonal in the computational basis keeps
+    only ``labels``: E(x) is the projector onto the basis indices i with
+    labels[i] == x, and no effect is stored.  Outcome statistics,
+    relativization and restriction then read diagonals and move blocks
+    instead of multiplying effects; ``labels`` is None for every other
+    POVM.  On both kinds ``effects`` and ``effect(x)`` return read-only
+    arrays.
     """
 
     def __init__(self, space, effects: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> None:
@@ -271,34 +273,50 @@ class POVM:
         stack = np.array(effects)          # the POVM's own copy
         if np.max(np.abs(stack.sum(axis=0) - np.eye(dim))) > tol:
             raise ValueError("effects do not sum to the identity")
-        self._init(space, stack, None)
+        stack.setflags(write=False)
+        self.space = space
+        self._effects = tuple(stack)
+        self.labels = None
+        self.dim = dim
 
     @classmethod
     def _sharp(cls, space, labels: np.ndarray) -> "POVM":
         """The diagonal PVM of ``labels``, from data the library built
         itself, so without re-validation."""
         labels = np.array(labels, dtype=np.intp)
-        dim = labels.shape[0]
-        stack = np.zeros((space.size, dim, dim), dtype=complex)
-        stack[labels, np.arange(dim), np.arange(dim)] = 1.0
         labels.setflags(write=False)
         povm = cls.__new__(cls)
-        povm._init(space, stack, labels)
+        povm.space = space
+        povm._effects = None
+        povm.labels = labels
+        povm.dim = labels.shape[0]
         return povm
-
-    def _init(self, space, stack: np.ndarray, labels: Optional[np.ndarray]) -> None:
-        stack.setflags(write=False)
-        self.space = space
-        self.effects = tuple(stack)
-        self.labels = labels
-        self.dim = stack.shape[1]
 
     @property
     def size(self) -> int:
         return self.space.size
 
+    @property
+    def effects(self) -> tuple:
+        """The tuple (E(0), ..., E(size - 1)) of read-only arrays.
+
+        A labelled PVM builds all size * dim**2 entries on every access and
+        keeps none of them; read ``labels``, or ``effect(x)`` for one
+        outcome, where that suffices.
+        """
+        if self._effects is not None:
+            return self._effects
+        return tuple(self.effect(x) for x in range(self.size))
+
     def effect(self, x: int) -> np.ndarray:
-        return self.effects[x]
+        """E(x), read-only; a labelled PVM builds it on every call."""
+        if not 0 <= x < self.size:
+            raise ValueError(f"sample point {x} is outside range({self.size})")
+        if self._effects is not None:
+            return self._effects[x]
+        projector = np.diag((self.labels == x).astype(complex))
+        projector.setflags(write=False)
+        return projector.view()
 
     def act(self, g: int, x: int) -> int:
         return self.space.act(g, x)
@@ -453,10 +471,11 @@ def classify_frame(rep: UnitaryRep, povm: POVM, tol: float = DEFAULT_TOL) -> Fra
         dev = covariance_deviation(povm, rep)
         if dev > tol:
             raise CovarianceError(f"POVM is not covariant (deviation {dev:.3e})")
-        sharp = all(op_norm(e @ e - e) <= tol for e in povm.effects)
-        norms = [op_norm(e) for e in povm.effects]
+        effects = povm.effects
+        sharp = all(op_norm(e @ e - e) <= tol for e in effects)
+        norms = [op_norm(e) for e in effects]
         localizable = all(nm <= tol or abs(nm - 1.0) <= tol for nm in norms)
-        fixed = [np.linalg.norm(rep.orbit(e) - e, 2, axis=(1, 2)) <= tol for e in povm.effects]
+        fixed = [np.linalg.norm(rep.orbit(e) - e, 2, axis=(1, 2)) <= tol for e in effects]
         iso_members = np.flatnonzero(np.all(fixed, axis=0))
     isotropy = Subgroup(group, iso_members)
     return Frame(
@@ -480,20 +499,29 @@ def canonical_frame(group: FiniteGroup, kind: str = "left_regular") -> Frame:
 def localizing_state(frame: Frame, x: int, tol: float = DEFAULT_TOL) -> np.ndarray:
     """The pure state xi with <xi|E(x)|xi> = 1, exact in finite dimension.
 
-    Requires a localizable frame; the state is the top eigenvector of E(x).
+    Requires a localizable frame.  For a labelled PVM the state is |i><i|
+    for the first basis index i labelled x; otherwise it is the top
+    eigenvector of E(x).
     """
     if not frame.localizable:
         raise UnsupportedFrameError("localizing states require a localizable frame")
     if not 0 <= x < frame.povm.size:
         raise ValueError(f"sample point {x} is outside range({frame.povm.size})")
-    e = frame.povm.effect(x)
-    vals, vecs = np.linalg.eigh((e + dagger(e)) / 2)
-    top = vals[-1]
+    labels = frame.povm.labels
+    if labels is not None:
+        # E(x) projects onto the indices labelled x: norm 1, or 0 if there are none
+        hits = np.flatnonzero(labels == x)
+        top = float(hits.size > 0)
+        v = np.zeros(frame.dim, dtype=complex)
+        v[hits[:1]] = 1.0
+    else:
+        e = frame.povm.effect(x)
+        vals, vecs = np.linalg.eigh((e + dagger(e)) / 2)
+        top, v = vals[-1], vecs[:, -1]
     if abs(top - 1.0) > tol:
         raise UnsupportedFrameError(
             f"effect at sample point {x} has norm {top:.6f}; cannot localize there"
         )
-    v = vecs[:, -1]
     return np.outer(v, np.conj(v))
 
 

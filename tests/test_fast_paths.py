@@ -8,6 +8,7 @@ path, and requires agreement at machine precision.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,17 +22,22 @@ from qrframes import (
     YenMap,
     born,
     canonical_frame,
+    canonical_pvm,
     classify_frame,
     coherent_state_povm,
     frame_change,
     left_regular_rep,
     left_right_rep,
     relative_orientation,
+    restrict,
+    rrc_relative_orientation,
     triangular_reconstruction,
     uniform_povm,
 )
-from qrframes.builtins import builtin_group, character_rep, permutation_rep, standard_system_rep
+from qrframes.builtins import (BUILTIN_NAMES, builtin_group, character_rep, permutation_rep,
+                               standard_system_rep)
 from qrframes.groups import CosetSpace, Subgroup
+from qrframes.measurement import _restricted
 from qrframes.operators import kron, permute_factors, random_density, random_hermitian
 from qrframes.quantum import canonical_coset_pvm, coset_permutation_rep, localizing_state
 
@@ -338,3 +344,110 @@ def test_batched_orbit_matches_single_orbits(name, kind, rng):
     if n > 2:
         with pytest.raises(ValueError):
             rep.orbit(stacks[:, :2])
+
+
+# ---------------------------------------------------------------------------
+# Labelled PVMs keep their labels: every effect, restriction and localizing
+# state is compared with the dense construction
+# ---------------------------------------------------------------------------
+
+def _basis_projector(dim, i):
+    p = np.zeros((dim, dim), dtype=complex)
+    p[i, i] = 1.0
+    return p
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+@pytest.mark.parametrize("kind", FRAME_KINDS)
+def test_canonical_pvm_effects_are_the_dense_stack(name, kind):
+    # E(g) = |g><g| for the left-regular rep, |g^-1><g^-1| for the left-right rep
+    group = builtin_group(name)
+    povm = canonical_pvm(_system(group, kind))
+    point = (lambda g: g) if kind == "left_regular" else group.inv
+    expected = np.array([_basis_projector(group.order, point(g)) for g in group.elements()])
+    assert np.array_equal(np.array(povm.effects), expected)
+    for g in group.elements():
+        assert np.array_equal(povm.effect(g), expected[g])
+    with pytest.raises(ValueError):
+        povm.effect(0)[0, 0] = 0.5
+    with pytest.raises(ValueError):
+        povm.effect(0).setflags(write=True)
+
+
+@pytest.mark.parametrize("name", GROUPS + ("s4",))
+def test_canonical_coset_pvm_effects_are_the_dense_stack(name):
+    cosets = _cosets(builtin_group(name))
+    povm = canonical_coset_pvm(cosets)
+    n = cosets.n_cosets
+    assert np.array_equal(np.array(povm.effects),
+                          np.array([_basis_projector(n, c) for c in range(n)]))
+
+
+def _orientation_effect(f1, f2, x):
+    """sum_g E1(g) (x) U2(g) E2(x) U2(g)^dag, from the frames' matrices."""
+    e2 = f2.povm.effect(x)
+    return sum(np.kron(f1.povm.effect(g), f2.rep.mat(g) @ e2 @ f2.rep.mat(g).conj().T)
+               for g in f1.group.elements())
+
+
+@pytest.mark.parametrize("name", ("s3", "s4"))
+@pytest.mark.parametrize("kind", FRAME_KINDS)
+def test_relative_orientation_effects_are_the_dense_stack(name, kind):
+    group = builtin_group(name)
+    f1, f2 = canonical_frame(group, kind), canonical_frame(group, kind)
+    orientation = relative_orientation(f1, f2)
+    assert orientation.labels is not None
+    effects = orientation.effects
+    for x in group.elements():
+        expected = _orientation_effect(f1, f2, x)
+        assert np.array_equal(effects[x], expected)
+        assert np.array_equal(orientation.effect(x), expected)
+
+
+def test_relative_orientation_holds_no_effect_stack():
+    # the s4 orientation's dense stack is 24 x 576^2 complex entries (121.5 MiB)
+    frame = canonical_frame(builtin_group("s4"))
+    tracemalloc.start()
+    try:
+        orientation = relative_orientation(frame, frame)
+        peak = tracemalloc.get_traced_memory()[1]
+        assert len(orientation.effects) == 24       # built on access ...
+        kept = tracemalloc.get_traced_memory()[0]   # ... and not cached
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert kept < 1 << 20
+
+
+@pytest.mark.parametrize("name", ("s3", "s4"))
+@pytest.mark.parametrize("kind", FRAME_KINDS)
+def test_labelled_restriction_matches_dense(name, kind, rng):
+    group = builtin_group(name)
+    frame = canonical_frame(group, kind)
+    orientation = relative_orientation(frame, frame)
+    for _ in range(2):
+        omega = random_density(rng, frame.dim)
+        assert np.max(np.abs(omega - np.diag(np.diagonal(omega)))) > 1e-3
+        expected = [restrict(omega, orientation.effect(y)) for y in group.elements()]
+        _close(_restricted(omega, orientation), expected)
+        if name == "s3":
+            _close(_restricted(omega, _dense_povm(orientation)), expected)
+
+
+@pytest.mark.parametrize("kind", FRAME_KINDS)
+def test_rrc_relative_orientation_matches_dense(s3, kind):
+    frame = canonical_frame(s3, kind)
+    dense = _dense_frame(frame)
+    fast_yields = list(rrc_relative_orientation(frame, frame))
+    dense_yields = list(rrc_relative_orientation(dense, dense))
+    assert [w for _, w in fast_yields] == [w for _, w in dense_yields]
+    _close([d for d, _ in fast_yields], [d for d, _ in dense_yields])
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+@pytest.mark.parametrize("kind", FRAME_KINDS)
+def test_labelled_localizing_state_is_the_eigh_state(name, kind):
+    frame = canonical_frame(builtin_group(name), kind)
+    dense = _dense_frame(frame)
+    for x in range(frame.povm.size):
+        assert np.array_equal(localizing_state(frame, x), localizing_state(dense, x))

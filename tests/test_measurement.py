@@ -160,11 +160,19 @@ def test_reproduced_matches_dense_restriction(case, rng):
     maps = [None, [0] * n_pointer]
     maps += [list(rng.integers(n_target, size=n_pointer)) for _ in range(3)]
     assert any(len(set(m)) < n_pointer for m in maps[2:])
+    # a labelled pointer PVM is read by its labels; the same scheme with the
+    # pointer's effects as a plain POVM takes the dense contraction
+    pointer = scheme.pointer_povm
+    dense = MeasurementScheme(scheme.interaction, POVM(pointer.space, pointer.effects),
+                              scheme.pointer_state, scheme.outcome_map, scheme.target)
+    assert (pointer.labels is None) == (case == "coherent_pointer")
     for omega in states:
         for read_out in maps:
             oracle = _dense_reproduced(scheme, omega,
                                        scheme.outcome_map if read_out is None else read_out)
-            assert np.max(np.abs(scheme.reproduced(omega, read_out) - oracle)) <= 1e-12
+            reproduced = scheme.reproduced(omega, read_out)
+            assert np.max(np.abs(reproduced - oracle)) <= 1e-12
+            assert np.max(np.abs(reproduced - dense.reproduced(omega, read_out))) <= 1e-12
 
 
 def test_rrc_at_identity_is_prc(s3):

@@ -205,6 +205,15 @@ def test_localizing_state_ideal(s3):
         assert np.allclose(mu, expected)
 
 
+def test_effect_rejects_points_outside_the_sample_space(z3):
+    # a negative index must not wrap round to the last outcome
+    povm = canonical_frame(z3).povm
+    for p in (povm, POVM(povm.space, povm.effects)):
+        for x in (-1, 3):
+            with pytest.raises(ValueError, match="outside"):
+                p.effect(x)
+
+
 def test_localizing_state_requires_localizable(s3):
     rep = left_regular_rep(s3)
     frame = classify_frame(rep, uniform_povm(rep))
