@@ -102,8 +102,8 @@ class MultiFrameScenario:
         key = (reference, tuple(framed))
         if key not in self._contexts:
             self._contexts[key] = ProductContext([
-                EffectContext(self.frames[pos].povm.effects, dim=self.dims[pos])
-                if pos in framed else EffectContext(HermitianBasis(self.dims[pos]).matrices)
+                EffectContext(self.frames[pos].povm) if pos in framed
+                else EffectContext(HermitianBasis(self.dims[pos]))
                 for pos in self.complement(reference)
             ])
         return self._contexts[key]
@@ -172,7 +172,13 @@ def frame_change(scenario: MultiFrameScenario, src: int, dst: int,
     the identity unless ``localize_at`` says otherwise), relativizes with
     respect to the target frame, and projects onto the source-framed classes.
     With B_x = Tr_dst[(E_dst(x) at dst) rho] on the other slots, the predual
-    of omega (x) rho is sum_g (g.omega) (x) (g.B_g), omega at the src slot.
+    of omega (x) rho is sum_g (g.omega) (x) (g.B_g), omega at the src slot:
+    one (s**2, |G|) @ (|G|, r**2) product of the two flattened orbits, whose
+    axes a transpose puts in slot order.  The projection, which raises
+    ``ValueError`` on a non-Hermitian result, acts at the source slot only:
+    a labelled source keeps each diagonal entry as its label-class mean and
+    drops the off-diagonal blocks, and any other source projects onto the
+    span of its effects.
     """
     scenario._check_frame_index(src)
     scenario._check_frame_index(dst)
@@ -192,8 +198,10 @@ def frame_change(scenario: MultiFrameScenario, src: int, dst: int,
     frame_orbit = scenario.frames[src].rep.orbit(omega, dual=True)
     rest_orbit = scenario.rest_rep(src, dst).orbit(blocks, dual=True)
     before, s, after = _layout(scenario.complement_dims(dst), scenario.complement(dst).index(src))
-    out = np.einsum("gst,gikjl->iskjtl", frame_orbit,
-                    rest_orbit.reshape(-1, before, after, before, after), optimize=True)
+    n = frame_orbit.shape[0]
+    # out[(s, t), (i, k, j, l)] = sum_g frame_orbit[g, s, t] rest_orbit[g, (i, k), (j, l)]
+    out = (frame_orbit.reshape(n, s * s).T @ rest_orbit.reshape(n, -1)).reshape(
+        s, s, before, after, before, after).transpose(2, 0, 3, 4, 1, 5)
     ctx = scenario.framing_context(dst, (src,))
     return FramedRelativeState(scenario, dst, ctx.project(out.reshape(before * s * after, -1)),
                                framed=(src,), context=ctx)

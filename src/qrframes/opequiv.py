@@ -22,7 +22,7 @@ from .operators import (
     as_operator,
     is_hermitian,
 )
-from .quantum import Frame, UnitaryRep
+from .quantum import POVM, Frame, UnitaryRep
 
 RANK_CUTOFF = 1e-9          # relative singular-value cutoff for rank decisions
 ORBIT_BATCH = 1 << 21       # complex entries per batched orbit in invariant_subspace
@@ -75,10 +75,31 @@ class EffectContext(_SpanViews):
 
     Carries an orthonormal basis (in Hermitian coordinates) of span_R(O) and
     the induced Hilbert-Schmidt orthogonal projection onto that span.
+
+    ``generators`` is a sequence of Hermitian matrices, whose span takes one
+    SVD of their coordinates, or a structure that gives its span directly:
+
+    - a POVM, whose effects are the generators.  A labelled PVM keeps its
+      labels: the span is the normalised indicator diagonals of its label
+      classes, so the rank is the number of classes; projection keeps each
+      diagonal entry as the mean over its class and drops every off-diagonal
+      entry, and the pairings tr[E(x) X] are class sums of X's diagonal;
+    - a HermitianBasis, whose d**2 matrices span every Hermitian operator:
+      projection is the identity and the pairings are index gathers.
+
+    Only the dense views (``generators``, ``span_coords``, ``kernel_coords``,
+    ``projector``) build matrices for these, on access.
     """
 
-    def __init__(self, generators: Sequence[np.ndarray], dim: Optional[int] = None,
-                 tol: float = DEFAULT_TOL) -> None:
+    def __init__(self, generators: Union[Sequence[np.ndarray], POVM, HermitianBasis],
+                 dim: Optional[int] = None, tol: float = DEFAULT_TOL) -> None:
+        self._stack = self._labels = self._span = self._span_mats = None
+        self._kernel: Optional[np.ndarray] = None
+        if isinstance(generators, POVM) and generators.labels is None:
+            generators = generators.effects
+        if isinstance(generators, (POVM, HermitianBasis)):
+            self._init_structured(generators, dim)
+            return
         gens = list(generators)
         if dim is None:
             if not gens:
@@ -95,7 +116,7 @@ class EffectContext(_SpanViews):
             stack[i] = g
         stack.setflags(write=False)
         self._stack = stack
-        self.generators = list(stack)
+        self._count = len(stack)
         self.basis = HermitianBasis(self.dim)
         if gens:
             u, s, vh = np.linalg.svd(self.basis.to_coords(stack), full_matrices=False)
@@ -109,19 +130,47 @@ class EffectContext(_SpanViews):
         # contexts are shared (MultiFrameScenario caches its framing
         # contexts), so every array they cache is read-only, as POVM effects are
         self._span.setflags(write=False)
-        self._kernel: Optional[np.ndarray] = None
+        self.rank = self._span.shape[0]
+
+    def _init_structured(self, source: Union[POVM, HermitianBasis],
+                         dim: Optional[int]) -> None:
+        if dim is not None and int(dim) != source.dim:
+            raise ValueError(f"generators have dim {source.dim}, expected {dim}")
+        self.dim = source.dim
+        self.basis = HermitianBasis(self.dim)
+        if isinstance(source, HermitianBasis):
+            self._count = self.rank = source.size
+            return
+        self._labels = source.labels
+        self._count = source.size
+        # the row of each basis index's class among the classes that occur
+        present, self._class_of = np.unique(source.labels, return_inverse=True)
+        self._class_size = np.bincount(self._class_of)
+        self.rank = present.size
 
     @property
-    def rank(self) -> int:
-        return self._span.shape[0]
-
-    @property
-    def _count(self) -> int:
-        return len(self._stack)
+    def generators(self) -> list:
+        """The generators as matrices; a labelled or HermitianBasis context
+        builds them on every access."""
+        if self._stack is not None:
+            return list(self._stack)
+        if self._labels is not None:
+            return [np.diag((self._labels == x).astype(complex)) for x in range(self._count)]
+        return self.basis.matrices
 
     @property
     def span_coords(self) -> np.ndarray:
         """Orthonormal span basis as rows of real coordinate vectors."""
+        if self._span is None:
+            if self._labels is None:
+                span = np.eye(self.basis.size)
+            else:
+                # diagonal coordinates come first in HermitianBasis
+                span = np.zeros((self.rank, self.basis.size))
+                span[self._class_of, np.arange(self.dim)] = (
+                    1.0 / np.sqrt(self._class_size[self._class_of]))
+            span.setflags(write=False)
+            self._span = span
         return self._span
 
     def project(self, a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -131,13 +180,65 @@ class EffectContext(_SpanViews):
         a = as_operator(a)
         if not is_hermitian(a, tol):
             raise ValueError("projection is defined on Hermitian operators")
+        if self._stack is None:
+            out = self._project_slot(a, 0, 1)
+            return (out + out.conj().T) / 2
         v = self.basis.to_coords(a)
         return self.basis.from_coords(self._span.T @ (self._span @ v))
+
+    def _project_slot(self, t: np.ndarray, k: int, m: int) -> np.ndarray:
+        """Project factor k of an m-factor operator, given as its tensor t
+        with axes dims + dims, onto this span."""
+        if self.kernel_dim == 0:
+            return t
+        if self._labels is not None:
+            # the diagonal at slot k, each entry the mean over its label class
+            front = np.moveaxis(t, [k, m + k], [0, 1])
+            idx = np.arange(self.dim)
+            diag = front[idx, idx]
+            if self.rank < self.dim:
+                sums = np.zeros((self.rank,) + diag.shape[1:], dtype=complex)
+                np.add.at(sums, self._class_of, diag)
+                sizes = self._class_size.reshape((-1,) + (1,) * (diag.ndim - 1))
+                diag = (sums / sizes)[self._class_of]
+            out = np.zeros_like(front)
+            out[idx, idx] = diag
+            return np.moveaxis(out, [0, 1], [k, m + k])
+        if self._span_mats is None:
+            self._span_mats = self._span_stack
+            self._span_mats.setflags(write=False)
+        span = self._span_mats
+        traces = np.tensordot(t, span, axes=([k, m + k], [2, 1]))
+        return np.moveaxis(np.tensordot(traces, span, axes=1), [-2, -1], [k, m + k])
 
     def pairings(self, delta: np.ndarray) -> np.ndarray:
         """tr[delta f] for every generator f, in generator order."""
         delta = _square(delta, self.dim)
+        if self._stack is None:
+            return self._pair_slot(delta.reshape(1, self.dim, 1, self.dim, 1)).reshape(-1)
         return self._stack.reshape(len(self._stack), self.dim ** 2) @ delta.T.reshape(-1)
+
+    def _pair_slot(self, t: np.ndarray) -> np.ndarray:
+        """sum_{i,j} t[b, i, x, j, y] f[j, i] for every generator f: a stack
+        of shape (B, d, r, d, r) to one of shape (B, count, r, r)."""
+        if self._stack is not None:
+            return np.tensordot(t, self._stack, axes=([1, 3], [2, 1])).transpose(0, 3, 1, 2)
+        idx = np.arange(self.dim)
+        diag = t[:, idx, :, idx]                    # (d, B, r, r)
+        if self._labels is not None:
+            out = np.zeros((self._count,) + diag.shape[1:], dtype=complex)
+            if self.rank == self.dim:       # one index per label: a scatter
+                out[self._labels] = diag
+            else:
+                np.add.at(out, self._labels, diag)
+        else:
+            # tr[t B] is (t[c, r] + t[r, c]) / sqrt 2 for B = (E_rc + E_cr) / sqrt 2,
+            # and i (t[c, r] - t[r, c]) / sqrt 2 for B = i (E_rc - E_cr) / sqrt 2
+            rows, cols = self.basis._rows, self.basis._cols
+            upper, lower = t[:, rows, :, cols], t[:, cols, :, rows]
+            out = np.concatenate([diag, (lower + upper) / np.sqrt(2.0),
+                                  1j * (lower - upper) / np.sqrt(2.0)])
+        return out.transpose(1, 0, 2, 3)
 
     def kernel_coords(self) -> np.ndarray:
         """Orthonormal basis (rows) of the kernel, i.e. the operators no
@@ -147,7 +248,7 @@ class EffectContext(_SpanViews):
                 self._kernel = np.eye(self.basis.size)
             else:
                 # complete the span rows to a full orthonormal set
-                u, s, vh = np.linalg.svd(self._span, full_matrices=True)
+                u, s, vh = np.linalg.svd(self.span_coords, full_matrices=True)
                 self._kernel = vh[self.rank:]
             self._kernel.setflags(write=False)
         return self._kernel
@@ -159,11 +260,14 @@ class ProductContext(_SpanViews):
 
     The real span of the family is the tensor product of the slot spans, and
     tr[(A (x) B)(C (x) D)] = tr[AC] tr[BD], so projection and pairing act
-    slot by slot and no product generator is formed.  The rank is the product
-    of the slot ranks.  Generators run over the slots' generators with the
-    first slot slowest.  The dense views (``generators``, ``span_coords``,
-    ``kernel_coords``, ``projector``) are in HermitianBasis(dim) coordinates
-    and are built only when asked for.
+    slot by slot and no product generator is formed.  Each slot acts on its
+    factor in its own form: a labelled-PVM slot keeps diagonals and sums
+    them by class, a HermitianBasis slot projects as the identity and pairs
+    by index gathers, and a slot of explicit generators contracts against
+    them.  The rank is the product of the slot ranks.  Generators run over
+    the slots' generators with the first slot slowest.  The dense views
+    (``generators``, ``span_coords``, ``kernel_coords``, ``projector``) are
+    in HermitianBasis(dim) coordinates and are built only when asked for.
     """
 
     def __init__(self, slots: Sequence[EffectContext]) -> None:
@@ -173,10 +277,6 @@ class ProductContext(_SpanViews):
         self.dims = tuple(slot.dim for slot in self.slots)
         self.dim = int(np.prod(self.dims))
         self.basis = HermitianBasis(self.dim)
-        # the orthonormal span of each slot, None where it is all of the
-        # slot's Hermitian operators and projecting changes nothing
-        self._spans = [None if slot.kernel_dim == 0 else slot._span_stack
-                       for slot in self.slots]
         self._span: Optional[np.ndarray] = None
         self._kernel: Optional[np.ndarray] = None
 
@@ -191,7 +291,7 @@ class ProductContext(_SpanViews):
     @property
     def generators(self) -> list:
         """Every product generator as a dense matrix (built on each access)."""
-        return list(_kron_stack([slot._stack for slot in self.slots]))
+        return list(_kron_stack([np.array(slot.generators) for slot in self.slots]))
 
     @property
     def span_coords(self) -> np.ndarray:
@@ -212,31 +312,46 @@ class ProductContext(_SpanViews):
         """
         if self._kernel is None:
             rows = [np.zeros((0, self.basis.size))]
-            for k, slot in enumerate(self.slots):
-                if slot.kernel_dim == 0:
-                    continue
-                stacks = ([s._span_stack for s in self.slots[:k]]
-                          + [slot.basis.from_coords(slot.kernel_coords())]
-                          + [s.basis.from_coords(np.eye(s.basis.size))
-                             for s in self.slots[k + 1:]])
-                rows.append(self.basis.to_coords(_kron_stack(stacks)))
+            rows += [self.basis.to_coords(_kron_stack(stacks))
+                     for stacks in self._kernel_stacks()]
             self._kernel = np.concatenate(rows)
             self._kernel.setflags(write=False)
         return self._kernel
 
+    def kernel_row(self, index: int) -> np.ndarray:
+        """Row ``index`` of ``kernel_coords()``, as one Kronecker product of
+        a matrix per slot, without building the dense kernel."""
+        rest = int(index)
+        for stacks in self._kernel_stacks():
+            sizes = [len(stack) for stack in stacks]
+            if 0 <= rest < np.prod(sizes):
+                picks = np.unravel_index(rest, sizes)
+                return self.basis.to_coords(
+                    _kron_stack([stack[i:i + 1] for stack, i in zip(stacks, picks)])[0])
+            rest -= int(np.prod(sizes))
+        raise IndexError(f"kernel row {index} is outside range({self.kernel_dim})")
+
+    def _kernel_stacks(self):
+        """For each slot k with a kernel, the stacks whose Kronecker products
+        are the rows of V_1 (x) ... (x) V_(k-1) (x) K_k (x) Herm (x) ... (x)
+        Herm, in ``kernel_coords`` order."""
+        for k, slot in enumerate(self.slots):
+            if slot.kernel_dim:
+                yield ([s._span_stack for s in self.slots[:k]]
+                       + [slot.basis.from_coords(slot.kernel_coords())]
+                       + [s.basis.from_coords(np.eye(s.basis.size))
+                          for s in self.slots[k + 1:]])
+
     def project(self, a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """HS-orthogonal projection of a Hermitian matrix onto the span: on
-        each slot's factor, X -> sum_r S_r tr[S_r X] over the slot's
-        orthonormal span S_r."""
+        """HS-orthogonal projection of a Hermitian matrix onto the span: each
+        slot's projection applied to its factor."""
         a = as_operator(a)
         if not is_hermitian(a, tol):
             raise ValueError("projection is defined on Hermitian operators")
         m = len(self.dims)
         t = a.reshape(self.dims + self.dims)
-        for k, span in enumerate(self._spans):
-            if span is not None:
-                traces = np.tensordot(t, span, axes=([k, m + k], [2, 1]))
-                t = np.moveaxis(np.tensordot(traces, span, axes=1), [-2, -1], [k, m + k])
+        for k, slot in enumerate(self.slots):
+            t = slot._project_slot(t, k, m)
         out = t.reshape(self.dim, self.dim)
         return (out + out.conj().T) / 2
 
@@ -247,10 +362,7 @@ class ProductContext(_SpanViews):
         for slot in self.slots:
             d = slot.dim
             r = t.shape[1] // d
-            t = t.reshape(-1, d, r, d, r)
-            # sum_{i,j} t[., i, x, j, y] f[j, i] for each slot generator f
-            t = np.tensordot(t, slot._stack, axes=([1, 3], [2, 1]))
-            t = t.transpose(0, 3, 1, 2).reshape(-1, r, r)
+            t = slot._pair_slot(t.reshape(-1, d, r, d, r)).reshape(-1, r, r)
         return t.reshape(-1)
 
 
@@ -332,18 +444,34 @@ def fixed_subspace(ctx: Context, reps: Sequence[UnitaryRep]) -> EffectContext:
     slots = ctx.slots if isinstance(ctx, ProductContext) else (ctx,)
     if len(reps) != len(slots) or any(r.dim != s.dim for r, s in zip(reps, slots)):
         raise ValueError("need one rep per slot, each of the slot's dim")
-    grams = [np.einsum("aji,bgij->gab", s._span_stack, r.orbit(s._span_stack[:, None])).real
-             for s, r in zip(slots, reps)]
+    grams = [_slot_gram(s, r) for s, r in zip(slots, reps)]
     w, v = np.linalg.eigh(sum(reduce(np.kron, at_g) for at_g in zip(*grams)) / len(grams[0]))
     fixed = v[:, w >= 1.0 - DEFAULT_TOL].T @ ctx.span_coords
     return EffectContext(ctx.basis.from_coords(fixed), dim=ctx.dim)
 
 
+def _slot_gram(slot: EffectContext, rep: UnitaryRep) -> np.ndarray:
+    """Gram(g)[a, b] = tr[S_a g.S_b] over the slot's orthonormal span S, for
+    every g.
+
+    For a labelled slot under a permutation rep, S_c is the normalised
+    indicator of label class x_c and g.S_b that of p_g(x_b), so Gram(g)[a, b]
+    = |x_a n p_g(x_b)| / sqrt(|x_a| |x_b|), an index count; any other slot
+    takes the orbit of its span."""
+    if slot._labels is not None and rep.permutations is not None:
+        n, k, cls = rep.group.order, slot.rank, slot._class_of
+        pairs = (np.arange(n)[:, None] * k + cls[rep.permutations]) * k + cls
+        counts = np.bincount(pairs.reshape(-1), minlength=n * k * k).reshape(n, k, k)
+        return counts / np.sqrt(np.outer(slot._class_size, slot._class_size))
+    span = slot._span_stack
+    return np.einsum("aji,bgij->gab", span, rep.orbit(span[:, None])).real
+
+
 def framed_subspace(frame: Frame, system_dim: int) -> ProductContext:
     """Context of framed operators: the real span of E_R(x) (x) B_k over
     sample points and a Hermitian basis of the system factor."""
-    return ProductContext([EffectContext(frame.povm.effects, dim=frame.dim),
-                           EffectContext(HermitianBasis(system_dim).matrices)])
+    return ProductContext([EffectContext(frame.povm),
+                           EffectContext(HermitianBasis(system_dim))])
 
 
 def span_residual(ctx_from: Context, ctx_to: Context) -> float:

@@ -175,7 +175,12 @@ class UnitaryRep:
             return ops[element, rows, cols] if ops.ndim == 3 else ops[..., element, rows, cols]
         u = self.matrices
         u_dag = np.conj(u).transpose(0, 2, 1)
-        return u_dag @ ops @ u if dual else u @ ops @ u_dag
+        left, right = (u_dag, u) if dual else (u, u_dag)
+        if ops.ndim == 2:
+            # one operator: the first product is a single (n d, d) @ (d, d) gemm
+            d = self.dim
+            return (left.reshape(n * d, d) @ ops).reshape(n, d, d) @ right
+        return left @ ops @ right
 
     def tensor(self, other: "UnitaryRep") -> "UnitaryRep":
         """Pointwise tensor product representation on the same group; the

@@ -346,6 +346,25 @@ def test_batched_orbit_matches_single_orbits(name, kind, rng):
             rep.orbit(stacks[:, :2])
 
 
+def _dense_reps():
+    """Representations without permutations: the 2-dim systems of q8 and d5,
+    dense copies of their left-regular reps, and s4's 48-dim frame rep (x)
+    2-dim system."""
+    q8, d5, s4 = (builtin_group(name) for name in ("q8", "d5", "s4"))
+    return ([standard_system_rep(g, 2) for g in (q8, d5)]
+            + [_dense_rep(left_regular_rep(g)) for g in (q8, d5)]
+            + [canonical_frame(s4).rep.tensor(standard_system_rep(s4, 2))])
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_dense_orbit_of_one_operator_matches_group_action(index, rng):
+    rep = _dense_reps()[index]
+    assert rep.permutations is None
+    a = rng.normal(size=(rep.dim,) * 2) + 1j * rng.normal(size=(rep.dim,) * 2)
+    _close(rep.orbit(a), [rep.act_op(g, a) for g in rep.group.elements()])
+    _close(rep.orbit(a, dual=True), [rep.act_state(g, a) for g in rep.group.elements()])
+
+
 # ---------------------------------------------------------------------------
 # Labelled PVMs keep their labels: every effect, restriction and localizing
 # state is compared with the dense construction

@@ -4,6 +4,7 @@ import pytest
 from qrframes import (
     EffectContext,
     ProductContext,
+    UnitaryRep,
     canonical_frame,
     classify_frame,
     cyclic_group,
@@ -16,11 +17,12 @@ from qrframes import (
     invariant_subspace,
     left_regular_rep,
     op_norm,
+    relative_orientation,
     trivial_rep,
 )
 from qrframes.builtins import BUILTIN_NAMES, builtin_group, standard_system_rep
 from qrframes.groups import CosetSpace, Subgroup
-from qrframes.opequiv import span_residual
+from qrframes.opequiv import _slot_gram, span_residual
 from qrframes.operators import HermitianBasis, random_density, random_hermitian
 from qrframes.quantum import canonical_coset_pvm, coset_permutation_rep
 
@@ -344,6 +346,31 @@ def test_fixed_subspace_of_a_non_covariant_product(s3, rng):
     fixed = _fixed_against_oracle(ctx, [frame.rep, sys_rep])
     # at least 1 (x) B for every invariant system operator B
     assert fixed.rank >= invariant_subspace(sys_rep).rank
+
+
+@pytest.mark.parametrize("name", ("s3", "s4"))
+def test_labelled_slot_gram_matches_dense(name):
+    # the labelled Gram is an index count under a permutation rep; a dense
+    # copy of the rep takes the orbit of the span instead
+    group = builtin_group(name)
+    frame = canonical_frame(group)
+    cases = [(frame.povm, frame.rep)]
+    if name == "s3":
+        # classes of six indices each, under the pair's permutation rep
+        cases.append((relative_orientation(frame, frame), frame.rep.tensor(frame.rep)))
+    for povm, rep in cases:
+        slot = EffectContext(povm)
+        dense = UnitaryRep(group, rep.matrices)
+        assert slot._labels is not None and rep.permutations is not None
+        assert dense.permutations is None
+        span = slot._span_stack
+        oracle = np.einsum("aji,bgij->gab", span, dense.orbit(span[:, None])).real
+        assert np.max(np.abs(_slot_gram(slot, rep) - oracle)) <= 1e-12
+        assert np.max(np.abs(_slot_gram(slot, dense) - oracle)) <= 1e-12
+    sys_rep = standard_system_rep(group, 2)
+    framed = framed_subspace(frame, 2)
+    _assert_same_span(fixed_subspace(framed, [frame.rep, sys_rep]),
+                      fixed_subspace(framed, [UnitaryRep(group, frame.rep.matrices), sys_rep]))
 
 
 def test_fixed_subspace_needs_one_rep_per_slot(s3):
