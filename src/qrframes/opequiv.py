@@ -143,6 +143,8 @@ class EffectContext(_SpanViews):
             return
         self._labels = source.labels
         self._count = source.size
+        # row x is the diagonal of E(x), so tr[E(x) X] is row x . diag(X)
+        self._diagonals = (np.arange(source.size)[:, None] == source.labels).astype(float)
         # the row of each basis index's class among the classes that occur
         present, self._class_of = np.unique(source.labels, return_inverse=True)
         self._class_size = np.bincount(self._class_of)
@@ -155,7 +157,7 @@ class EffectContext(_SpanViews):
         if self._stack is not None:
             return list(self._stack)
         if self._labels is not None:
-            return [np.diag((self._labels == x).astype(complex)) for x in range(self._count)]
+            return [np.diag(row.astype(complex)) for row in self._diagonals]
         return self.basis.matrices
 
     @property
@@ -180,11 +182,8 @@ class EffectContext(_SpanViews):
         a = as_operator(a)
         if not is_hermitian(a, tol):
             raise ValueError("projection is defined on Hermitian operators")
-        if self._stack is None:
-            out = self._project_slot(a, 0, 1)
-            return (out + out.conj().T) / 2
-        v = self.basis.to_coords(a)
-        return self.basis.from_coords(self._span.T @ (self._span @ v))
+        out = self._project_slot(a, 0, 1)
+        return (out + out.conj().T) / 2
 
     def _project_slot(self, t: np.ndarray, k: int, m: int) -> np.ndarray:
         """Project factor k of an m-factor operator, given as its tensor t
@@ -195,14 +194,10 @@ class EffectContext(_SpanViews):
             # the diagonal at slot k, each entry the mean over its label class
             front = np.moveaxis(t, [k, m + k], [0, 1])
             idx = np.arange(self.dim)
-            diag = front[idx, idx]
-            if self.rank < self.dim:
-                sums = np.zeros((self.rank,) + diag.shape[1:], dtype=complex)
-                np.add.at(sums, self._class_of, diag)
-                sizes = self._class_size.reshape((-1,) + (1,) * (diag.ndim - 1))
-                diag = (sums / sizes)[self._class_of]
+            sums = (self._diagonals @ front[idx, idx].reshape(self.dim, -1))[self._labels]
             out = np.zeros_like(front)
-            out[idx, idx] = diag
+            out[idx, idx] = (sums / self._class_size[self._class_of, None]).reshape(
+                (self.dim,) + front.shape[2:])
             return np.moveaxis(out, [0, 1], [k, m + k])
         if self._span_mats is None:
             self._span_mats = self._span_stack
@@ -214,9 +209,7 @@ class EffectContext(_SpanViews):
     def pairings(self, delta: np.ndarray) -> np.ndarray:
         """tr[delta f] for every generator f, in generator order."""
         delta = _square(delta, self.dim)
-        if self._stack is None:
-            return self._pair_slot(delta.reshape(1, self.dim, 1, self.dim, 1)).reshape(-1)
-        return self._stack.reshape(len(self._stack), self.dim ** 2) @ delta.T.reshape(-1)
+        return self._pair_slot(delta.reshape(1, self.dim, 1, self.dim, 1)).reshape(-1)
 
     def _pair_slot(self, t: np.ndarray) -> np.ndarray:
         """sum_{i,j} t[b, i, x, j, y] f[j, i] for every generator f: a stack
@@ -226,11 +219,8 @@ class EffectContext(_SpanViews):
         idx = np.arange(self.dim)
         diag = t[:, idx, :, idx]                    # (d, B, r, r)
         if self._labels is not None:
-            out = np.zeros((self._count,) + diag.shape[1:], dtype=complex)
-            if self.rank == self.dim:       # one index per label: a scatter
-                out[self._labels] = diag
-            else:
-                np.add.at(out, self._labels, diag)
+            out = (self._diagonals @ diag.reshape(self.dim, -1)).reshape(
+                (self._count,) + diag.shape[1:])
         else:
             # tr[t B] is (t[c, r] + t[r, c]) / sqrt 2 for B = (E_rc + E_cr) / sqrt 2,
             # and i (t[c, r] - t[r, c]) / sqrt 2 for B = i (E_rc - E_cr) / sqrt 2
@@ -312,35 +302,17 @@ class ProductContext(_SpanViews):
         """
         if self._kernel is None:
             rows = [np.zeros((0, self.basis.size))]
-            rows += [self.basis.to_coords(_kron_stack(stacks))
-                     for stacks in self._kernel_stacks()]
+            for k, slot in enumerate(self.slots):
+                if slot.kernel_dim == 0:
+                    continue
+                stacks = ([s._span_stack for s in self.slots[:k]]
+                          + [slot.basis.from_coords(slot.kernel_coords())]
+                          + [s.basis.from_coords(np.eye(s.basis.size))
+                             for s in self.slots[k + 1:]])
+                rows.append(self.basis.to_coords(_kron_stack(stacks)))
             self._kernel = np.concatenate(rows)
             self._kernel.setflags(write=False)
         return self._kernel
-
-    def kernel_row(self, index: int) -> np.ndarray:
-        """Row ``index`` of ``kernel_coords()``, as one Kronecker product of
-        a matrix per slot, without building the dense kernel."""
-        rest = int(index)
-        for stacks in self._kernel_stacks():
-            sizes = [len(stack) for stack in stacks]
-            if 0 <= rest < np.prod(sizes):
-                picks = np.unravel_index(rest, sizes)
-                return self.basis.to_coords(
-                    _kron_stack([stack[i:i + 1] for stack, i in zip(stacks, picks)])[0])
-            rest -= int(np.prod(sizes))
-        raise IndexError(f"kernel row {index} is outside range({self.kernel_dim})")
-
-    def _kernel_stacks(self):
-        """For each slot k with a kernel, the stacks whose Kronecker products
-        are the rows of V_1 (x) ... (x) V_(k-1) (x) K_k (x) Herm (x) ... (x)
-        Herm, in ``kernel_coords`` order."""
-        for k, slot in enumerate(self.slots):
-            if slot.kernel_dim:
-                yield ([s._span_stack for s in self.slots[:k]]
-                       + [slot.basis.from_coords(slot.kernel_coords())]
-                       + [s.basis.from_coords(np.eye(s.basis.size))
-                          for s in self.slots[k + 1:]])
 
     def project(self, a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
         """HS-orthogonal projection of a Hermitian matrix onto the span: each

@@ -339,8 +339,10 @@ def check_fc_well_defined(group, rng, tol, trials):
         if ctx.kernel_dim == 0:
             yield 0.0
             continue
-        row = ctx.kernel_row(int(rng.integers(ctx.kernel_dim)))
-        bump = 0.25 * ctx.basis.from_coords(row)
+        # a random operator's part off the span, scaled to HS norm 0.25
+        h = random_hermitian(rng, ctx.dim)
+        off = h - ctx.project(h)
+        bump = 0.25 * off / np.linalg.norm(off)
         other = frame_change(scenario, 0, 1, state + bump)
         yield base.class_deviation(other)
 
