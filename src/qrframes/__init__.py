@@ -42,7 +42,6 @@ from .quantum import (
     classify_frame,
     coherent_state_povm,
     covariance_deviation,
-    is_covariant,
     left_regular_rep,
     left_right_rep,
     localizing_state,
@@ -52,7 +51,6 @@ from .quantum import (
 from .opequiv import (
     EffectContext,
     ProductContext,
-    equivalent,
     fixed_subspace,
     framed_subspace,
     g_twirl,
@@ -64,7 +62,6 @@ from .relativize import (
     HomogeneousYenMap,
     PreconditionError,
     YenMap,
-    convolve,
     product_relative_state,
     relational_span_report,
     relative_orientation,
@@ -76,7 +73,6 @@ from .framechange import (
     coherent_frame_change_unitary,
     compose_check,
     frame_change,
-    framed_relative_context,
     operational_agreement,
     triangular_reconstruction,
 )

@@ -124,9 +124,8 @@ def cmd_yen(args) -> int:
 
 def cmd_twirl(args) -> int:
     group = _resolve_group(args.group)
+    rep = _system_rep(group, args.rep)
     try:
-        rep = qio.rep_from_json(group, args.rep if args.rep in ("left_regular", "left_right")
-                                else qio.load_json(Path(args.rep)))
         operand = qio.operator_from_json(qio.load_json(Path(args.operator)))
     except qio.FormatError as exc:
         raise InputError(str(exc)) from exc
@@ -147,8 +146,10 @@ def cmd_frame_change(args) -> int:
         state = qio.operator_from_json(qio.load_json(Path(args.state)))
     except qio.FormatError as exc:
         raise InputError(str(exc)) from exc
-    src = args.src - 1 if args.one_based else args.src
-    dst = args.dst - 1 if args.one_based else args.dst
+    # unset indices mean the first and second frames in either basis
+    base = 1 if args.one_based else 0
+    src = 0 if args.src is None else args.src - base
+    dst = 1 if args.dst is None else args.dst - base
     moved = frame_change(scenario, src, dst, state)
     doc = {"result": qio.operator_to_json(moved.matrix),
            "context": moved.context.report()}
@@ -212,8 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("frame-change", help="apply the localized frame-change map")
     p.add_argument("--scenario", required=True, help="scenario JSON file")
     p.add_argument("--state", required=True, help="state JSON on the source complement")
-    p.add_argument("--src", type=int, default=1, dest="src")
-    p.add_argument("--dst", type=int, default=2, dest="dst")
+    p.add_argument("--src", type=int, default=None, help="source frame (default: the first)")
+    p.add_argument("--dst", type=int, default=None, help="target frame (default: the second)")
     p.add_argument("--zero-based", action="store_false", dest="one_based",
                    help="treat --src/--dst as zero-based indices")
     p.add_argument("--out", default=None)

@@ -148,20 +148,6 @@ class FramedRelativeState:
                 f"framed={self.framed}, dim={self.matrix.shape[0]})")
 
 
-def framed_relative_context(scenario: MultiFrameScenario, reference: int,
-                            framed: int, tol: float = DEFAULT_TOL) -> EffectContext:
-    """Context over the total space generated by relativizing the framed
-    observable's effects tensored with a Hermitian basis of the remaining
-    factors; its equivalence mirrors the framing context under the predual."""
-    scenario._check_frame_index(reference)
-    scenario._check_frame_index(framed)
-    if reference == framed:
-        raise ValueError("reference and framed indices must differ")
-    gens = scenario.framing_context(reference, (framed,)).generators
-    return EffectContext([scenario.yen_total(reference, g) for g in gens],
-                         dim=scenario.total_dim, tol=tol)
-
-
 def frame_change(scenario: MultiFrameScenario, src: int, dst: int,
                  state: Union[FramedRelativeState, np.ndarray],
                  localize_at: Optional[int] = None,

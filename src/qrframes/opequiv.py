@@ -1,12 +1,12 @@
-"""Operational equivalence: effect contexts, span and kernel computations in
-the real vector space of Hermitian matrices, quotient projections, invariant
-subspaces, and the G-twirl.
+"""Operational equivalence: effect contexts, their spans in the real vector
+space of Hermitian matrices, quotient projections, invariant subspaces, and
+the G-twirl.
 
 Two trace-class operators are operationally equivalent for a family O of
-effects when every member of O assigns them equal traces.  All span and
-kernel computations happen in the real dim**2-dimensional coordinate space of
-Hermitian matrices, which avoids spurious rank inflation from complex
-vectorization.
+effects when every member of O assigns them equal traces, that is, when
+their difference pairs to zero with every generator.  All span computations
+happen in the real dim**2-dimensional coordinate space of Hermitian
+matrices, which avoids spurious rank inflation from complex vectorization.
 """
 
 from __future__ import annotations
@@ -29,8 +29,10 @@ ORBIT_BATCH = 1 << 21       # complex entries per batched orbit in invariant_sub
 
 
 class _SpanViews:
-    """Views that both context types derive from ``rank``, ``span_coords``
-    and ``kernel_coords``."""
+    """What both context types derive from their ``slots``, one
+    EffectContext per tensor factor (an EffectContext is its own single
+    slot), and from ``rank`` and ``span_coords``: projection and pairing act
+    slot by slot, and the dense views are built from the span."""
 
     @property
     def kernel_dim(self) -> int:
@@ -53,6 +55,30 @@ class _SpanViews:
         large spaces.
         """
         return self.span_coords.T @ self.span_coords
+
+    def project(self, a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+        """HS-orthogonal projection of a Hermitian matrix onto the span: the
+        canonical class representative, equal for two operators exactly when
+        they are equivalent; each slot's projection acts on its factor."""
+        a = as_operator(a)
+        if not is_hermitian(a, tol):
+            raise ValueError("projection is defined on Hermitian operators")
+        dims = tuple(slot.dim for slot in self.slots)
+        t = a.reshape(dims + dims)
+        for k, slot in enumerate(self.slots):
+            t = slot._project_slot(t, k, len(dims))
+        out = t.reshape(self.dim, self.dim)
+        return (out + out.conj().T) / 2
+
+    def pairings(self, delta: np.ndarray) -> np.ndarray:
+        """tr[delta f] for every generator f, in generator order,
+        contracting delta against one slot's generators at a time."""
+        t = _square(delta, self.dim)[None]
+        for slot in self.slots:
+            d = slot.dim
+            r = t.shape[1] // d
+            t = slot._pair_slot(t.reshape(-1, d, r, d, r)).reshape(-1, r, r)
+        return t.reshape(-1)
 
     def class_deviation(self, a: np.ndarray, b: np.ndarray) -> float:
         """max over generators f of |tr[(a - b) f]|: how far a and b are from
@@ -87,14 +113,15 @@ class EffectContext(_SpanViews):
     - a HermitianBasis, whose d**2 matrices span every Hermitian operator:
       projection is the identity and the pairings are index gathers.
 
-    Only the dense views (``generators``, ``span_coords``, ``kernel_coords``,
-    ``projector``) build matrices for these, on access.
+    Only the dense views (``generators``, ``span_coords``, ``projector``)
+    build matrices for these, on access.  The context is its own single
+    slot, so ``project`` and ``pairings`` run the slot loop of a
+    ProductContext once.
     """
 
     def __init__(self, generators: Union[Sequence[np.ndarray], POVM, HermitianBasis],
                  dim: Optional[int] = None, tol: float = DEFAULT_TOL) -> None:
         self._stack = self._labels = self._span = self._span_mats = None
-        self._kernel: Optional[np.ndarray] = None
         if isinstance(generators, POVM) and generators.labels is None:
             generators = generators.effects
         if isinstance(generators, (POVM, HermitianBasis)):
@@ -175,15 +202,9 @@ class EffectContext(_SpanViews):
             self._span = span
         return self._span
 
-    def project(self, a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """HS-orthogonal projection of a Hermitian matrix onto the span: the
-        canonical class representative, equal for two operators exactly when
-        they are equivalent."""
-        a = as_operator(a)
-        if not is_hermitian(a, tol):
-            raise ValueError("projection is defined on Hermitian operators")
-        out = self._project_slot(a, 0, 1)
-        return (out + out.conj().T) / 2
+    @property
+    def slots(self) -> tuple:
+        return (self,)
 
     def _project_slot(self, t: np.ndarray, k: int, m: int) -> np.ndarray:
         """Project factor k of an m-factor operator, given as its tensor t
@@ -206,11 +227,6 @@ class EffectContext(_SpanViews):
         traces = np.tensordot(t, span, axes=([k, m + k], [2, 1]))
         return np.moveaxis(np.tensordot(traces, span, axes=1), [-2, -1], [k, m + k])
 
-    def pairings(self, delta: np.ndarray) -> np.ndarray:
-        """tr[delta f] for every generator f, in generator order."""
-        delta = _square(delta, self.dim)
-        return self._pair_slot(delta.reshape(1, self.dim, 1, self.dim, 1)).reshape(-1)
-
     def _pair_slot(self, t: np.ndarray) -> np.ndarray:
         """sum_{i,j} t[b, i, x, j, y] f[j, i] for every generator f: a stack
         of shape (B, d, r, d, r) to one of shape (B, count, r, r)."""
@@ -230,19 +246,6 @@ class EffectContext(_SpanViews):
                                   1j * (lower - upper) / np.sqrt(2.0)])
         return out.transpose(1, 0, 2, 3)
 
-    def kernel_coords(self) -> np.ndarray:
-        """Orthonormal basis (rows) of the kernel, i.e. the operators no
-        generator can see."""
-        if self._kernel is None:
-            if self.rank == 0:
-                self._kernel = np.eye(self.basis.size)
-            else:
-                # complete the span rows to a full orthonormal set
-                u, s, vh = np.linalg.svd(self.span_coords, full_matrices=True)
-                self._kernel = vh[self.rank:]
-            self._kernel.setflags(write=False)
-        return self._kernel
-
 
 class ProductContext(_SpanViews):
     """The product family O_1 (x) ... (x) O_m, kept as one EffectContext per
@@ -256,19 +259,17 @@ class ProductContext(_SpanViews):
     by index gathers, and a slot of explicit generators contracts against
     them.  The rank is the product of the slot ranks.  Generators run over
     the slots' generators with the first slot slowest.  The dense views
-    (``generators``, ``span_coords``, ``kernel_coords``, ``projector``) are
-    in HermitianBasis(dim) coordinates and are built only when asked for.
+    (``generators``, ``span_coords``, ``projector``) are in
+    HermitianBasis(dim) coordinates and are built only when asked for.
     """
 
     def __init__(self, slots: Sequence[EffectContext]) -> None:
         self.slots = tuple(slots)
         if not self.slots:
             raise ValueError("a product context needs at least one slot")
-        self.dims = tuple(slot.dim for slot in self.slots)
-        self.dim = int(np.prod(self.dims))
+        self.dim = int(np.prod([slot.dim for slot in self.slots]))
         self.basis = HermitianBasis(self.dim)
         self._span: Optional[np.ndarray] = None
-        self._kernel: Optional[np.ndarray] = None
 
     @property
     def rank(self) -> int:
@@ -293,50 +294,6 @@ class ProductContext(_SpanViews):
             self._span.setflags(write=False)
         return self._span
 
-    def kernel_coords(self) -> np.ndarray:
-        """Orthonormal basis (rows) of the kernel.
-
-        The complement of V_1 (x) ... (x) V_m is the orthogonal sum over k of
-        V_1 (x) ... (x) V_(k-1) (x) K_k (x) Herm (x) ... (x) Herm, with K_k
-        the kernel of slot k.
-        """
-        if self._kernel is None:
-            rows = [np.zeros((0, self.basis.size))]
-            for k, slot in enumerate(self.slots):
-                if slot.kernel_dim == 0:
-                    continue
-                stacks = ([s._span_stack for s in self.slots[:k]]
-                          + [slot.basis.from_coords(slot.kernel_coords())]
-                          + [s.basis.from_coords(np.eye(s.basis.size))
-                             for s in self.slots[k + 1:]])
-                rows.append(self.basis.to_coords(_kron_stack(stacks)))
-            self._kernel = np.concatenate(rows)
-            self._kernel.setflags(write=False)
-        return self._kernel
-
-    def project(self, a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """HS-orthogonal projection of a Hermitian matrix onto the span: each
-        slot's projection applied to its factor."""
-        a = as_operator(a)
-        if not is_hermitian(a, tol):
-            raise ValueError("projection is defined on Hermitian operators")
-        m = len(self.dims)
-        t = a.reshape(self.dims + self.dims)
-        for k, slot in enumerate(self.slots):
-            t = slot._project_slot(t, k, m)
-        out = t.reshape(self.dim, self.dim)
-        return (out + out.conj().T) / 2
-
-    def pairings(self, delta: np.ndarray) -> np.ndarray:
-        """tr[delta f] for every product generator f, in generator order,
-        contracting delta against one slot's generators at a time."""
-        t = _square(delta, self.dim)[None]
-        for slot in self.slots:
-            d = slot.dim
-            r = t.shape[1] // d
-            t = slot._pair_slot(t.reshape(-1, d, r, d, r)).reshape(-1, r, r)
-        return t.reshape(-1)
-
 
 Context = Union[EffectContext, ProductContext]
 
@@ -358,16 +315,6 @@ def _kron_stack(stacks: Sequence[np.ndarray]) -> np.ndarray:
         out = np.einsum("aij,bkl->abikjl", out, stack).reshape(
             out.shape[0] * n, big * d, big * d)
     return out
-
-
-def equivalent(ctx: Context, a: np.ndarray, b: np.ndarray,
-               tol: float = DEFAULT_TOL) -> bool:
-    """True iff every generator assigns a and b equal traces within tol."""
-    a = as_operator(a)
-    b = as_operator(b)
-    if a.shape != b.shape or a.shape[0] != ctx.dim:
-        raise ValueError("operands must match the context dimension")
-    return ctx.class_deviation(a, b) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -413,10 +360,9 @@ def fixed_subspace(ctx: Context, reps: Sequence[UnitaryRep]) -> EffectContext:
     eigenvalues (Bjorck & Golub 1973), and its eigenvectors at >= 1 -
     DEFAULT_TOL span the overlap.  The span need not be G-stable, and no
     d**2-generator twirl is formed."""
-    slots = ctx.slots if isinstance(ctx, ProductContext) else (ctx,)
-    if len(reps) != len(slots) or any(r.dim != s.dim for r, s in zip(reps, slots)):
+    if len(reps) != len(ctx.slots) or any(r.dim != s.dim for r, s in zip(reps, ctx.slots)):
         raise ValueError("need one rep per slot, each of the slot's dim")
-    grams = [_slot_gram(s, r) for s, r in zip(slots, reps)]
+    grams = [_slot_gram(s, r) for s, r in zip(ctx.slots, reps)]
     w, v = np.linalg.eigh(sum(reduce(np.kron, at_g) for at_g in zip(*grams)) / len(grams[0]))
     fixed = v[:, w >= 1.0 - DEFAULT_TOL].T @ ctx.span_coords
     return EffectContext(ctx.basis.from_coords(fixed), dim=ctx.dim)

@@ -124,26 +124,24 @@ class UnitaryRep:
 
     def act_op(self, g: int, a: np.ndarray) -> np.ndarray:
         """g.A = U(g) A U(g)^dag."""
-        a = np.asarray(a, dtype=complex)
-        if a.shape != (self.dim, self.dim):
-            raise ValueError(f"operator shape {a.shape} does not match rep dim {self.dim}")
-        if self.permutations is not None:
-            # (U A U^dag)[p(i), p(j)] = A[i, j] with p = permutations[g].
-            q = self.permutations[self.group.inverse[g]]
-            return a[q[:, None], q]
-        u = self.matrices[g]
-        return u @ a @ dagger(u)
+        return self._act(g, a, dual=False)
 
     def act_state(self, g: int, rho: np.ndarray) -> np.ndarray:
         """g.rho = U(g)^dag rho U(g), the dual action on states."""
-        rho = np.asarray(rho, dtype=complex)
-        if rho.shape != (self.dim, self.dim):
-            raise ValueError(f"state shape {rho.shape} does not match rep dim {self.dim}")
+        return self._act(g, rho, dual=True)
+
+    def _act(self, g: int, a: np.ndarray, dual: bool) -> np.ndarray:
+        """One element's action, with the index rule of ``orbit``."""
+        a = np.asarray(a, dtype=complex)
+        if a.shape != (self.dim, self.dim):
+            raise ValueError(f"operand shape {a.shape} does not match rep dim {self.dim}")
         if self.permutations is not None:
-            p = self.permutations[g]
-            return rho[p[:, None], p]
+            # (U A U^dag)[p(i), p(j)] = A[i, j] with p = permutations[g], so
+            # g.A gathers through p^-1 = permutations[g^-1] and g.rho through p
+            q = self.permutations[g if dual else self.group.inverse[g]]
+            return a[q[:, None], q]
         u = self.matrices[g]
-        return dagger(u) @ rho @ u
+        return dagger(u) @ a @ u if dual else u @ a @ dagger(u)
 
     def orbit(self, ops: np.ndarray, dual: bool = False) -> np.ndarray:
         """The stack of g.A_g over all elements g, or of g.rho_g with ``dual``.
@@ -413,11 +411,6 @@ def covariance_deviations(povm: POVM, rep: UnitaryRep, action=None):
 def covariance_deviation(povm: POVM, rep: UnitaryRep, action=None) -> float:
     """max over (g, x) of || U(g) E(x) U(g)^dag - E(g.x) ||."""
     return worst_case(covariance_deviations(povm, rep, action))[0]
-
-
-def is_covariant(povm: POVM, rep: UnitaryRep, action=None, tol: float = DEFAULT_TOL) -> bool:
-    """Exhaustive check of E(g.x) = U(g) E(x) U(g)^dag over all pairs."""
-    return covariance_deviation(povm, rep, action) <= tol
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
-"""The relativization map and the machinery built on it: POVM convolution,
-relative-orientation observables, restriction, conditioned relativization,
-preduals, product-relative states, and the homogeneous-space extension.
+"""The relativization map and the machinery built on it: relative-orientation
+observables, restriction, conditioned relativization, preduals,
+product-relative states, and the homogeneous-space extension.
 
 For a principal frame R with effects E(g) and a system representation U_S,
 the relativization channel sends a system operator A to
@@ -142,16 +142,6 @@ class YenMap:
             unit[j // d_in, j % d_in] = 1.0
             cols.append(self.apply(unit).reshape(-1))
         return np.stack(cols, axis=1)
-
-
-def convolve(povm_s: POVM, frame: Frame, sys_rep: UnitaryRep) -> POVM:
-    """Relativize a system POVM pointwise; the result has invariant effects
-    on the composite space, over the original sample space."""
-    ym = YenMap(frame, sys_rep)
-    if povm_s.dim != sys_rep.dim:
-        raise ValueError("system POVM does not match the system representation")
-    effects = [ym.apply(e) for e in povm_s.effects]
-    return POVM(povm_s.space, effects)
 
 
 def relative_orientation(frame1: Frame, frame2: Frame) -> POVM:

@@ -143,6 +143,22 @@ def test_cmd_twirl_invariant_operator(tmp_path):
     assert doc["context"]["rank"] == 3
 
 
+def test_cmd_twirl_rep_from_file(tmp_path):
+    # the default representation given as a file of matrices twirls alike
+    op_path = tmp_path / "op.json"
+    dump_json(operator_to_json(random_density(np.random.default_rng(5), 3)), op_path)
+    rep_path = tmp_path / "rep.json"
+    dump_json({"matrices": [operator_to_json(u) for u in left_regular_rep(cyclic_group(3)).matrices]},
+              rep_path)
+    outputs = []
+    for extra in ([], ["--rep", str(rep_path)]):
+        out = tmp_path / f"twirl{len(outputs)}.json"
+        assert run(["twirl", "--group", "builtin:z3", "--operator", str(op_path),
+                    "--out", str(out), *extra]) == 0
+        outputs.append(out.read_text())
+    assert outputs[0] == outputs[1]
+
+
 def test_cmd_yen_identity(tmp_path):
     frame_doc = {"group": {"builtin": "z2"}, "rep": "left_regular", "povm": "canonical"}
     frame_path = tmp_path / "frame.json"
@@ -159,8 +175,7 @@ def test_cmd_yen_identity(tmp_path):
     assert doc["context"]["rank"] == 4
 
 
-def test_cmd_frame_change_ket_fixture(tmp_path):
-    z3 = cyclic_group(3)
+def _z3_two_frame_scenario(tmp_path):
     scenario_doc = {
         "group": {"builtin": "z3"},
         "frames": [
@@ -171,6 +186,12 @@ def test_cmd_frame_change_ket_fixture(tmp_path):
     }
     sc_path = tmp_path / "scenario.json"
     dump_json(scenario_doc, sc_path)
+    return sc_path
+
+
+def test_cmd_frame_change_ket_fixture(tmp_path):
+    z3 = cyclic_group(3)
+    sc_path = _z3_two_frame_scenario(tmp_path)
     h2, h3 = 1, 2
     state = np.zeros((9, 9), dtype=complex)
     state[h2 * 3 + h3, h2 * 3 + h3] = 1.0
@@ -186,6 +207,22 @@ def test_cmd_frame_change_ket_fixture(tmp_path):
     expected = np.zeros((9, 9))
     expected[i * 3 + j, i * 3 + j] = 1.0
     assert np.max(np.abs(result - expected)) <= 1e-10
+
+
+def test_cmd_frame_change_default_frames_in_both_bases(tmp_path):
+    # without --src/--dst the change runs from the first frame to the second,
+    # whether the indices are read one-based or zero-based
+    sc_path = _z3_two_frame_scenario(tmp_path)
+    st_path = tmp_path / "state.json"
+    dump_json(operator_to_json(random_density(np.random.default_rng(5), 9)), st_path)
+    outputs = []
+    for extra in ([], ["--zero-based"], ["--src", "1", "--dst", "2"],
+                  ["--zero-based", "--src", "0", "--dst", "1"]):
+        out = tmp_path / f"moved{len(outputs)}.json"
+        assert run(["frame-change", "--scenario", str(sc_path), "--state", str(st_path),
+                    "--out", str(out), *extra]) == 0
+        outputs.append(out.read_text())
+    assert all(text == outputs[0] for text in outputs[1:])
 
 
 def test_cmd_reconstruct(tmp_path):

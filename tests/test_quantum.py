@@ -14,7 +14,6 @@ from qrframes import (
     coherent_state_povm,
     covariance_deviation,
     cyclic_group,
-    is_covariant,
     left_regular_rep,
     left_right_rep,
     localizing_state,
@@ -23,7 +22,7 @@ from qrframes import (
 )
 from qrframes.builtins import standard_system_rep
 from qrframes.groups import CosetSpace, Subgroup
-from qrframes.operators import random_density, random_hermitian
+from qrframes.operators import DEFAULT_TOL, random_density, random_hermitian
 from qrframes.quantum import GroupSpace, canonical_coset_pvm, coset_permutation_rep
 
 
@@ -59,7 +58,7 @@ def test_left_right_canonical_pvm_points(s3):
         e = np.zeros((6, 6))
         e[s3.inv(h), s3.inv(h)] = 1.0
         assert np.allclose(pvm.effect(h), e)
-    assert is_covariant(pvm, rep)
+    assert covariance_deviation(pvm, rep) <= DEFAULT_TOL
 
 
 def test_canonical_pvm_left_regular_z2(z2):
@@ -110,13 +109,13 @@ def test_swapped_effects_break_covariance(z3):
     pvm = canonical_pvm(rep)
     effects = [pvm.effect(0), pvm.effect(2), pvm.effect(1)]
     broken = POVM(GroupSpace(z3), effects)
-    assert not is_covariant(broken, rep)
+    assert covariance_deviation(broken, rep) > DEFAULT_TOL
 
 
 def test_trivial_group_always_covariant():
     z1 = cyclic_group(1)
     rep = left_regular_rep(z1)
-    assert is_covariant(canonical_pvm(rep), rep)
+    assert covariance_deviation(canonical_pvm(rep), rep) <= DEFAULT_TOL
 
 
 def test_classify_canonical_frame(s3):
@@ -182,7 +181,7 @@ def test_coherent_povm_flat_spectrum_seed(z4, rng):
     povm = coherent_state_povm(rep, seed, tol=1e-9)
     total = sum(povm.effects)
     assert np.allclose(total, np.eye(4))
-    assert is_covariant(povm, rep)
+    assert covariance_deviation(povm, rep) <= DEFAULT_TOL
 
 
 def test_coherent_povm_generic_seed_fails(s3, rng):
@@ -257,7 +256,7 @@ def test_coset_pvm_is_covariant_frame(z4):
     cs = CosetSpace(z4, Subgroup(z4, [0, 2]))
     rep = coset_permutation_rep(cs)
     pvm = canonical_coset_pvm(cs)
-    assert is_covariant(pvm, rep)
+    assert covariance_deviation(pvm, rep) <= DEFAULT_TOL
     frame = classify_frame(rep, pvm)
     assert not frame.principal
     assert frame.sharp and frame.localizable and not frame.complete

@@ -10,7 +10,6 @@ from qrframes import (
     born,
     canonical_frame,
     classify_frame,
-    convolve,
     cyclic_group,
     g_twirl,
     g_twirl_predual,
@@ -147,21 +146,6 @@ def test_yen_predual_invariant_product(s3, rng):
     rho = g_twirl_predual(sys_rep, random_density(rng, 6))
     omega = random_density(rng, 6)
     assert op_norm(YenMap(frame, sys_rep).predual(kron(omega, rho)) - rho) <= 1e-12
-
-
-def test_convolve_trivial_povm(z3):
-    frame, sys_rep = _frame_and_system(z3)
-    trivial = POVM(GroupSpace(cyclic_group(1)), [np.eye(3)])
-    out = convolve(trivial, frame, sys_rep)
-    assert out.size == 1
-    assert np.allclose(out.effect(0), np.eye(9))
-
-
-def test_convolve_effects_sum_to_identity(s3, rng):
-    frame, sys_rep = _frame_and_system(s3)
-    povm = canonical_frame(s3).povm
-    out = convolve(povm, frame, sys_rep)
-    assert np.allclose(sum(out.effects), np.eye(36))
 
 
 def test_relative_orientation_localized_delta(s3):
@@ -402,16 +386,16 @@ def test_non_localizable_frame_relative_span_included_only(z3, rng):
 
 
 def test_convolve_scalar_degenerate_case(z3):
-    # one-dimensional frame and system: a covariant scalar observable on the
-    # group is forced to be the uniform measure, so the convolved statistics
-    # reduce to the measure convolution uniform * uniform = uniform
+    # one-dimensional frames: a covariant scalar observable on the group is
+    # forced to be the uniform measure, so the relative-orientation
+    # statistics reduce to the measure convolution uniform * uniform = uniform
     from qrframes.quantum import GroupSpace
 
     rep1 = trivial_rep(z3, 1)
     uniform = POVM(GroupSpace(z3), [np.eye(1) / 3] * 3)
     frame = classify_frame(rep1, uniform)
     assert frame.principal and not frame.localizable
-    out = convolve(uniform, frame, rep1)
+    out = relative_orientation(frame, frame)
     mu = born(out, np.eye(1))
     p = born(uniform, np.eye(1))
     convolution = np.array([
