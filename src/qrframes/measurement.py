@@ -59,16 +59,22 @@ class MeasurementScheme:
             raise ValueError(f"pointer state shape {omega.shape} is not the pointer dim squared")
         if not is_density(omega, 1e-6):
             raise ValueError("pointer state must be a density operator")
-        f = tuple(int(x) for x in self.outcome_map)
-        if len(f) != self.pointer_povm.size:
-            raise ValueError("outcome map must be total on the pointer sample space")
-        if any(not 0 <= x < self.target.size for x in f):
-            raise ValueError("outcome map hits outcomes outside the target sample space")
+        f = self._checked_map(self.outcome_map, "outcome map")
         u.setflags(write=False)
         omega.setflags(write=False)
         object.__setattr__(self, "interaction", u)
         object.__setattr__(self, "pointer_state", omega)
         object.__setattr__(self, "outcome_map", f)
+
+    def _checked_map(self, f: Sequence[int], name: str) -> tuple:
+        """``f`` as a tuple, once it is total on the pointer sample space
+        and lands in the target sample space."""
+        f = tuple(int(x) for x in f)
+        if len(f) != self.pointer_povm.size:
+            raise ValueError(f"{name} must be total on the pointer sample space")
+        if any(not 0 <= x < self.target.size for x in f):
+            raise ValueError(f"{name} hits outcomes outside the target sample space")
+        return f
 
     def reproduced(self, omega: np.ndarray,
                    read_out: Optional[Sequence[int]] = None) -> np.ndarray:
@@ -77,9 +83,11 @@ class MeasurementScheme:
         the outcome map) sends to y.  In Kraus form, with omega = sum_v l_v
         |v><v| and K_v = (<v| (x) 1) U, it sums l_v K_v (E_R(x) (x) 1) K_v^dag;
         exact zeros l_v are dropped, so a pure pointer state costs one K_v.
+        A ``read_out`` that is not total on the pointer sample space, or
+        leaves the target sample space, raises ValueError.
         """
-        read_out = np.asarray(self.outcome_map if read_out is None else read_out,
-                              dtype=np.intp)
+        read_out = np.asarray(self.outcome_map if read_out is None
+                              else self._checked_map(read_out, "read-out map"), dtype=np.intp)
         pointer = self.pointer_povm
         d_r, d_s = pointer.dim, self.target.dim
         lam, vecs = np.linalg.eigh(as_operator(omega))

@@ -170,8 +170,7 @@ class EffectContext(_SpanViews):
             return
         self._labels = source.labels
         self._count = source.size
-        # row x is the diagonal of E(x), so tr[E(x) X] is row x . diag(X)
-        self._diagonals = (np.arange(source.size)[:, None] == source.labels).astype(float)
+        self._diagonals = source.indicator
         # the row of each basis index's class among the classes that occur
         present, self._class_of = np.unique(source.labels, return_inverse=True)
         self._class_size = np.bincount(self._class_of)

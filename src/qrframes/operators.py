@@ -19,11 +19,22 @@ DEFAULT_TOL = 1e-9
 
 
 def as_operator(a) -> np.ndarray:
-    """Coerce to a square complex matrix with finite entries."""
+    """Coerce to a square complex matrix with finite entries.
+
+    A complex array comes back as the same object.  Finiteness is decided
+    by one BLAS pass, the inner product sum_ij |m_ij|**2 taken in memory
+    order (no copy of a C- or F-ordered operand).  Under IEEE arithmetic
+    an inf or NaN entry makes that sum non-finite, so a finite sum proves
+    every entry finite.  Only a non-finite sum, from such an entry or from
+    finite entries whose squares overflow (|m_ij| above about 1e154),
+    falls back to the per-entry test, so exactly the operands with an inf
+    or NaN entry are rejected.
+    """
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"operator must be a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    flat = m.ravel(order="K")
+    if not np.isfinite(np.vdot(flat, flat)) and not np.all(np.isfinite(m)):
         raise ValueError("operator has non-finite entries")
     return m
 

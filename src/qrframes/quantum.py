@@ -9,6 +9,7 @@ the group itself) or the left coset action (on G/H).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -298,6 +299,18 @@ class POVM:
     @property
     def size(self) -> int:
         return self.space.size
+
+    @cached_property
+    def indicator(self) -> Optional[np.ndarray]:
+        """The (size, dim) 0/1 matrix of a labelled PVM whose row x is the
+        diagonal of E(x), so tr[E(x) X] is row x . diag(X) and one product
+        sums every label class; None for any other POVM.  Built on first
+        read and kept, read-only."""
+        if self.labels is None:
+            return None
+        rows = (np.arange(self.size)[:, None] == self.labels).astype(float)
+        rows.setflags(write=False)
+        return rows
 
     @property
     def effects(self) -> tuple:

@@ -76,15 +76,14 @@ def _extract(povm: POVM, omega: np.ndarray, dims, slot: int) -> np.ndarray:
     predual kernel, before the dual group action.
 
     A labelled PVM sums the diagonal blocks of the frame indices labelled
-    x; any other POVM contracts each effect against the frame factor.
+    x, as one product of its 0/1 indicator rows with the stacked blocks;
+    any other POVM contracts each effect against the frame factor.
     """
     b, f, a = _layout(dims, slot)
     if povm.labels is not None:
         idx = np.arange(f)
-        diag = omega.reshape(b, f, a, b, f, a)[:, idx, :, :, idx, :].reshape(f, b * a, b * a)
-        out = np.zeros((povm.size, b * a, b * a), dtype=complex)
-        np.add.at(out, povm.labels, diag)
-        return out
+        diag = omega.reshape(b, f, a, b, f, a)[:, idx, :, :, idx, :].reshape(f, -1)
+        return (povm.indicator @ diag).reshape(povm.size, b * a, b * a)
     return np.array([contract_factor(omega, dims, slot, e) for e in povm.effects])
 
 

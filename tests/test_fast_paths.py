@@ -39,7 +39,9 @@ from qrframes.builtins import (BUILTIN_NAMES, builtin_group, character_rep, perm
 from qrframes.groups import CosetSpace, Subgroup
 from qrframes.measurement import _restricted
 from qrframes.operators import kron, permute_factors, random_density, random_hermitian
-from qrframes.quantum import canonical_coset_pvm, coset_permutation_rep, localizing_state
+from qrframes.quantum import (GroupSpace, canonical_coset_pvm, coset_permutation_rep,
+                              localizing_state)
+from qrframes.relativize import _extract, _place
 
 TOL = 1e-12
 GROUPS = ("z2", "z4", "s3", "q8", "d5")
@@ -254,6 +256,24 @@ def test_homogeneous_yen_matches_dense(name, rng):
     a = sum(sys_rep.act_op(h, b) for h in cosets.subgroup) / cosets.subgroup.order
     expected = HomogeneousYenMap(_dense_frame(frame), _dense_rep(sys_rep)).apply(a)
     _close(HomogeneousYenMap(frame, sys_rep).apply(a), expected)
+
+
+# labellings the canonical frames never produce: several indices share a
+# label, and some label has no index at all (its effect is zero)
+@pytest.mark.parametrize("labels", ([0, 0, 2, 2, 2, 3], [3, 3, 3, 3, 3, 3], [1, 0, 3, 2, 0, 1]))
+@pytest.mark.parametrize("dims,slot", [
+    ((6,), 0), ((6, 3), 0), ((3, 6), 1), ((2, 6, 3), 1), ((2, 3, 6, 2), 2),
+])
+def test_labelled_extract_and_place_match_dense(z4, labels, dims, slot, rng):
+    sharp = POVM._sharp(GroupSpace(z4), labels)
+    dense = POVM(sharp.space, sharp.effects)
+    assert dense.labels is None
+    dim = int(np.prod(dims))
+    rest = dim // dims[slot]
+    omega = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    _close(_extract(sharp, omega, dims, slot), _extract(dense, omega, dims, slot))
+    blocks = rng.normal(size=(4, rest, rest)) + 1j * rng.normal(size=(4, rest, rest))
+    _close(_place(sharp, blocks, dims, slot), _place(dense, blocks, dims, slot))
 
 
 def _reference_apply(frame, sys_rep, a):

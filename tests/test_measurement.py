@@ -291,6 +291,19 @@ def test_outcome_map_merging(z4, rng):
     assert np.max(np.abs(merged - _dense_reproduced(scheme, omega, [0, 1, 0, 3]))) <= 1e-12
 
 
+@pytest.mark.parametrize("read_out, message", [
+    ([-1, 1, 2], "outside the target"),     # would wrap pointer outcome 0 into 2
+    ([0, 1, 3], "outside the target"),
+    ([0, 1], "total on the pointer"),
+    ([0, 1, 2, 0], "total on the pointer"),
+])
+def test_reproduced_validates_read_out(z3, read_out, message):
+    # a read-out map is checked as the outcome map is
+    scheme = canonical_scheme(z3)
+    with pytest.raises(ValueError, match=message):
+        scheme.reproduced(scheme.pointer_state, read_out)
+
+
 def test_scheme_is_immutable(z3):
     # neither a field nor an array of a scheme may change after construction
     scheme = canonical_scheme(z3)
